@@ -96,34 +96,26 @@ func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 	set.OnBarrier(c.exSet.Drain)
 	set.SetIntentSource(c.exSet.Earliest)
 	if set.Shards() > 1 && c.meshFab != nil {
-		// Upgrade the uniform window to the distance-aware machinery:
-		// B[j][i] from the mesh geometry (and any -linklat table), the
-		// policy from -window, and — under an armed fault plan — the
-		// retransmit-timeout cap that keeps drain-time timers in every
-		// shard's future. Express links added later tighten the matrix,
-		// so the fabric recomputes it on topology changes — which must
-		// happen with the set parked (before Run or between Run calls):
-		// ConfigureLookahead panics mid-run, because a frame routed over
-		// the new link inside the current window would be bounded by the
-		// tighter matrix while the destination shard's limit was planned
-		// with the old one.
-		policy := sim.PolicyUniform
-		switch p.Window {
-		case params.WindowDistance:
-			policy = sim.PolicyDistance
-		case params.WindowElide:
-			policy = sim.PolicyElide
-		}
+		// Upgrade the uniform window to the distance-aware schedule:
+		// B[j][i] from the mesh geometry (and any -linklat table) and —
+		// under an armed fault plan — the retransmit-timeout cap that
+		// keeps drain-time timers in every shard's future. Express links
+		// added later tighten the matrix, so the fabric recomputes it on
+		// topology changes — which must happen with the set parked
+		// (before Run or between Run calls): ConfigureLookahead panics
+		// mid-run, because a frame routed over the new link inside the
+		// current window would be bounded by the tighter matrix while the
+		// destination shard's limit was planned with the old one.
 		var capOver sim.Time
 		if c.inj != nil {
 			capOver = p.RetransmitTimeout
 		}
 		b := c.meshFab.MinDelayMatrix(part)
-		set.ConfigureLookahead(policy, b, capOver)
+		set.ConfigureLookahead(b, capOver)
 		c.exSet.SetSelfBounds(b)
 		c.meshFab.OnTopologyChange(func() {
 			nb := c.meshFab.MinDelayMatrix(c.part)
-			set.ConfigureLookahead(policy, nb, capOver)
+			set.ConfigureLookahead(nb, capOver)
 			c.exSet.SetSelfBounds(nb)
 		})
 	}

@@ -37,8 +37,8 @@ type System struct {
 // the uniform lookahead window is the minimum single-link traversal
 // latency — HopLatency, unless a -linklat table names a faster edge —
 // the floor on the time any frame needs to cross a region boundary.
-// The cluster upgrades the window machinery to the distance-aware
-// bounds of p.Window once the mesh geometry is known.
+// The cluster upgrades the window to the distance-aware lookahead
+// schedule once the mesh geometry is known.
 func NewSystem(p params.Params) (*System, error) {
 	k := p.Shards
 	if k < 1 {
@@ -240,12 +240,6 @@ func (p Phase) String() string {
 
 // Node returns the region's anchor node identifier.
 func (r *Region) Node() addr.NodeID { return r.node.ID() }
-
-// Heap returns the interposed-malloc heap of the region's process.
-func (r *Region) Heap() *rmalloc.Heap { return r.heap }
-
-// AddressSpace returns the process address space.
-func (r *Region) AddressSpace() *vm.AddressSpace { return r.as }
 
 // TLB returns the process's TLB model.
 func (r *Region) TLB() *vm.TLB { return r.tlb }

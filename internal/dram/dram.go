@@ -120,12 +120,3 @@ func (b *Bank) Stats() (reads, writes uint64) {
 	}
 	return
 }
-
-// RowStats sums row-buffer hits and conflicts across the bank.
-func (b *Bank) RowStats() (hits, conflicts uint64) {
-	for _, c := range b.ctrls {
-		hits += c.RowHits
-		conflicts += c.RowConflicts
-	}
-	return
-}

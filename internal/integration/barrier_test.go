@@ -11,14 +11,27 @@ import (
 	"repro/internal/sim"
 )
 
+// singleHopCadence re-plans a sharded cluster's lookahead with every
+// window capped at the uniform single-hop width: the cadence the
+// adaptive schedule is measured and checked against. Every mesh arc
+// costs more than that width, so the cap always binds.
+func singleHopCadence(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	fab, err := c.MeshFabric()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := c.Set()
+	set.ConfigureLookahead(fab.MinDelayMatrix(c.Partition()), set.Window())
+}
+
 // newBarrierSmoke builds the 16x16, eight-shard cluster the barrier
-// smokes run on.
-func newBarrierSmoke(t *testing.T, window params.WindowMode, mut func(*params.Params)) (*cluster.Cluster, *sim.ShardSet, mesh.Topology) {
+// smokes run on, on the single-hop cadence when singleHop is set.
+func newBarrierSmoke(t *testing.T, singleHop bool, mut func(*params.Params)) (*cluster.Cluster, *sim.ShardSet, mesh.Topology) {
 	t.Helper()
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = 8
-	p.Window = window
 	if mut != nil {
 		mut(&p)
 	}
@@ -26,6 +39,9 @@ func newBarrierSmoke(t *testing.T, window params.WindowMode, mut func(*params.Pa
 	c, err := cluster.New(set, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if singleHop {
+		singleHopCadence(t, c)
 	}
 	topo, err := mesh.NewTopology(p.MeshWidth, p.MeshHeight)
 	if err != nil {
@@ -44,14 +60,14 @@ func newBarrierSmoke(t *testing.T, window params.WindowMode, mut func(*params.Pa
 // crosses a shard for microseconds at a stretch; the adaptive schedule
 // sees no pending cross-shard intent, plans unbounded windows, and only
 // barriers when a send actually clamps one.
-func localitySmoke(t *testing.T, window params.WindowMode) (barriers, elided uint64) {
+func localitySmoke(t *testing.T, singleHop bool) (barriers, elided uint64) {
 	t.Helper()
 	// The stream prefetcher stays off: the strided remote reads would
 	// otherwise arm it and fill the quiet local stretches with
 	// background fabric traffic — fine to simulate, but it makes the
 	// barrier count pin prefetcher behavior rather than the window
 	// schedule.
-	c, set, topo := newBarrierSmoke(t, window, func(p *params.Params) { p.PrefetchDepth = 0 })
+	c, set, topo := newBarrierSmoke(t, singleHop, func(p *params.Params) { p.PrefetchDepth = 0 })
 	const opsPerClient = 256
 	// All four clients sit in the north-west region (shard 0 of the
 	// 4x2 tiling); their diametric partners share the south-east
@@ -87,9 +103,9 @@ func localitySmoke(t *testing.T, window params.WindowMode) (barriers, elided uin
 // All-remote traffic is bounded below by one barrier per dependency
 // phase — a delivery cannot exist until a barrier replays its send — so
 // the schedule win here is modest by construction.
-func concurrentSmoke(t *testing.T, window params.WindowMode) (barriers, elided uint64) {
+func concurrentSmoke(t *testing.T, singleHop bool) (barriers, elided uint64) {
 	t.Helper()
-	c, set, topo := newBarrierSmoke(t, window, nil)
+	c, set, topo := newBarrierSmoke(t, singleHop, nil)
 	noop := func(sim.Time) {}
 	for round := 0; round < 8; round++ {
 		now := set.Now()
@@ -106,13 +122,13 @@ func concurrentSmoke(t *testing.T, window params.WindowMode) (barriers, elided u
 
 // TestBarrierElisionOnLocalitySmoke pins the tentpole's headline win:
 // on the skewed 16x16 locality smoke, distance lookahead plus barrier
-// elision must cut the barrier count at least 5x against the PR 9
-// uniform-window baseline, because the uniform cadence pays one barrier
-// per 120 ns of dependent local work while the adaptive schedule only
-// barriers around the sparse remote phases.
+// elision must cut the barrier count at least 5x against the
+// single-hop cadence, because that cadence pays one barrier per 120 ns
+// of dependent local work while the adaptive schedule only barriers
+// around the sparse remote phases.
 func TestBarrierElisionOnLocalitySmoke(t *testing.T) {
-	uniform, _ := localitySmoke(t, params.WindowUniform)
-	elide, elided := localitySmoke(t, params.WindowElide)
+	uniform, _ := localitySmoke(t, true)
+	elide, elided := localitySmoke(t, false)
 	t.Logf("locality barriers: uniform=%d elide=%d (%.1fx), elided=%d",
 		uniform, elide, float64(uniform)/float64(elide), elided)
 	if uniform == 0 || elide == 0 {
@@ -128,11 +144,11 @@ func TestBarrierElisionOnLocalitySmoke(t *testing.T) {
 
 // TestBarrierElisionOnConcurrentSmoke checks the all-remote concurrent
 // smoke still improves monotonically: the adaptive schedule must never
-// barrier more than the uniform baseline, and must elide at least some
+// barrier more than the single-hop cadence, and must elide at least some
 // windows even when every node is sending.
 func TestBarrierElisionOnConcurrentSmoke(t *testing.T) {
-	uniform, _ := concurrentSmoke(t, params.WindowUniform)
-	elide, elided := concurrentSmoke(t, params.WindowElide)
+	uniform, _ := concurrentSmoke(t, true)
+	elide, elided := concurrentSmoke(t, false)
 	t.Logf("concurrent barriers: uniform=%d elide=%d (%.1fx), elided=%d",
 		uniform, elide, float64(uniform)/float64(elide), elided)
 	if uniform == 0 || elide == 0 {

@@ -80,9 +80,6 @@ func NewAgent(self addr.NodeID, p params.Params, dir *memdir.Directory) (*Agent,
 // SetPeers wires the agent to the cluster's other agents.
 func (a *Agent) SetPeers(r PeerResolver) { a.peers = r }
 
-// Self returns the agent's node identifier.
-func (a *Agent) Self() addr.NodeID { return a.self }
-
 // AllocPrivate allocates local process memory from the private zone.
 func (a *Agent) AllocPrivate(size uint64) (addr.Range, error) {
 	return a.priv.Alloc(size)

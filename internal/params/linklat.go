@@ -1,69 +1,17 @@
-// Sharded-engine window tuning: the lookahead schedule of the
-// conservative PDES engine (-window), the optional per-edge mesh link
-// latency table (-linklat), and the typed error for features that only
-// run on the single-shard engine. Both flag forms follow the canonical
-// round-trip discipline of -faults and -bulk: String renders exactly
-// what Parse reads.
+// Sharded-engine tuning: the optional per-edge mesh link latency table
+// (-linklat) and the typed error for features that only run on the
+// single-shard engine. The flag form follows the canonical round-trip
+// discipline of -faults and -bulk: String renders exactly what Parse
+// reads.
 package params
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
-
-// WindowMode selects how the sharded engine sizes its lookahead windows
-// (DESIGN §16). Every mode produces byte-identical figures and metrics;
-// they differ only in how many barriers the schedule pays.
-type WindowMode int
-
-const (
-	// WindowUniform is the PR 9 baseline: every shard runs the same
-	// global window derived from the minimum single-hop latency, and
-	// every barrier drains the whole exchange.
-	WindowUniform WindowMode = iota
-	// WindowDistance widens each shard's window to the provable minimum
-	// cross-shard delivery bound from partition geometry: interior-heavy
-	// shards get multi-hop-wide windows.
-	WindowDistance
-	// WindowElide stacks adaptive barrier elision on distance-aware
-	// lookahead: shards publish their earliest pending cross-shard
-	// intent, and the window fast-forwards to the earliest time any
-	// shard could be affected — an appointment, not a guess.
-	WindowElide
-)
-
-// ParseWindowMode reads the CLI -window syntax.
-func ParseWindowMode(s string) (WindowMode, error) {
-	switch strings.TrimSpace(s) {
-	case "", "elide":
-		return WindowElide, nil
-	case "distance":
-		return WindowDistance, nil
-	case "uniform":
-		return WindowUniform, nil
-	}
-	return 0, fmt.Errorf("params: unknown window mode %q (want uniform, distance, or elide)", s)
-}
-
-func (m WindowMode) String() string {
-	switch m {
-	case WindowUniform:
-		return "uniform"
-	case WindowDistance:
-		return "distance"
-	case WindowElide:
-		return "elide"
-	default:
-		return fmt.Sprintf("WindowMode(%d)", int(m))
-	}
-}
-
-// Valid reports whether m is one of the defined modes.
-func (m WindowMode) Valid() bool {
-	return m == WindowUniform || m == WindowDistance || m == WindowElide
-}
 
 // EdgeLat overrides the traversal latency of the mesh edge between two
 // adjacent nodes, applied in both directions.
@@ -71,6 +19,13 @@ type EdgeLat struct {
 	AX, AY int // first endpoint, mesh coordinates
 	BX, BY int // second endpoint, adjacent to A
 	Lat    Duration
+}
+
+// joins reports whether e is the edge between (ax,ay) and (bx,by), in
+// either orientation.
+func (e EdgeLat) joins(ax, ay, bx, by int) bool {
+	return (e.AX == ax && e.AY == ay && e.BX == bx && e.BY == by) ||
+		(e.AX == bx && e.AY == by && e.BX == ax && e.BY == ay)
 }
 
 // LinkLatSpec is the parsed -linklat flag: an optional per-edge latency
@@ -96,8 +51,7 @@ func (s LinkLatSpec) Empty() bool { return s.X == 0 && s.Y == 0 && len(s.Edges) 
 // fallback. Specific-edge overrides win over axis overrides.
 func (s LinkLatSpec) EdgeLatency(fx, fy, tx, ty int, hop Duration) Duration {
 	for _, e := range s.Edges {
-		if (e.AX == fx && e.AY == fy && e.BX == tx && e.BY == ty) ||
-			(e.AX == tx && e.AY == ty && e.BX == fx && e.BY == fy) {
+		if e.joins(fx, fy, tx, ty) {
 			return e.Lat
 		}
 	}
@@ -133,7 +87,7 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 		}
 		switch key {
 		case "x", "y":
-			d, err := time.ParseDuration(val)
+			d, err := parseLatency(val)
 			if err != nil {
 				return LinkLatSpec{}, fmt.Errorf("params: linklat %s=%s: %w", key, val, err)
 			}
@@ -143,9 +97,9 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 				return LinkLatSpec{}, fmt.Errorf("params: linklat %s=%s must be positive (omit %s to keep the uniform hop latency)", key, val, key)
 			}
 			if key == "x" {
-				s.X = FromStd(d)
+				s.X = d
 			} else {
-				s.Y = FromStd(d)
+				s.Y = d
 			}
 		case "edge":
 			pair, lat, ok := strings.Cut(val, ":")
@@ -164,11 +118,9 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 			if e.BX, e.BY, err = parseCoord(b); err != nil {
 				return LinkLatSpec{}, err
 			}
-			d, err := time.ParseDuration(lat)
-			if err != nil {
+			if e.Lat, err = parseLatency(lat); err != nil {
 				return LinkLatSpec{}, fmt.Errorf("params: linklat edge %s: %w", val, err)
 			}
-			e.Lat = FromStd(d)
 			s.Edges = append(s.Edges, e)
 		default:
 			return LinkLatSpec{}, fmt.Errorf("params: unknown linklat key %q", key)
@@ -178,6 +130,19 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 		return LinkLatSpec{}, err
 	}
 	return s, nil
+}
+
+// parseLatency reads a Go duration into simulator picoseconds,
+// rejecting values the picosecond clock cannot hold.
+func parseLatency(s string) (Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, err
+	}
+	if lim := time.Duration(math.MaxInt64 / Nanosecond); d > lim || d < -lim {
+		return 0, fmt.Errorf("latency %s overflows the picosecond clock", s)
+	}
+	return FromStd(d), nil
 }
 
 func parseCoord(s string) (x, y int, err error) {
@@ -196,11 +161,18 @@ func parseCoord(s string) (x, y int, err error) {
 
 // Validate reports the first inconsistency in the spec alone; edge
 // endpoints are checked against the mesh geometry by Params.Validate.
+// An edge may be named once, in either orientation: EdgeLatency takes
+// the first match, so a repeat would be silently ignored.
 func (s LinkLatSpec) Validate() error {
 	if s.X < 0 || s.Y < 0 {
 		return fmt.Errorf("params: linklat axis latencies must not be negative (x=%d, y=%d); zero means unset", s.X, s.Y)
 	}
-	for _, e := range s.Edges {
+	for i, e := range s.Edges {
+		for _, p := range s.Edges[:i] {
+			if p.joins(e.AX, e.AY, e.BX, e.BY) {
+				return fmt.Errorf("params: linklat edge %d.%d-%d.%d is named twice", e.AX, e.AY, e.BX, e.BY)
+			}
+		}
 		if e.Lat <= 0 {
 			return fmt.Errorf("params: linklat edge %d.%d-%d.%d latency %d must be positive", e.AX, e.AY, e.BX, e.BY, e.Lat)
 		}

@@ -6,30 +6,6 @@ import (
 	"testing"
 )
 
-func TestWindowModeParseRoundTrip(t *testing.T) {
-	for _, mode := range []WindowMode{WindowUniform, WindowDistance, WindowElide} {
-		got, err := ParseWindowMode(mode.String())
-		if err != nil {
-			t.Fatalf("ParseWindowMode(%q): %v", mode.String(), err)
-		}
-		if got != mode {
-			t.Errorf("ParseWindowMode(%q) = %v, want %v", mode.String(), got, mode)
-		}
-		if !mode.Valid() {
-			t.Errorf("%v.Valid() = false", mode)
-		}
-	}
-	if got, err := ParseWindowMode(""); err != nil || got != WindowElide {
-		t.Errorf("ParseWindowMode(\"\") = %v, %v; want the elide default", got, err)
-	}
-	if _, err := ParseWindowMode("sideways"); err == nil {
-		t.Error("ParseWindowMode accepted an unknown mode")
-	}
-	if WindowMode(99).Valid() {
-		t.Error("WindowMode(99).Valid() = true")
-	}
-}
-
 func TestLinkLatSpecRoundTrip(t *testing.T) {
 	for _, spec := range []string{
 		"x=100ns",
@@ -37,6 +13,7 @@ func TestLinkLatSpecRoundTrip(t *testing.T) {
 		"x=100ns,y=140ns",
 		"edge=1.0-2.0:250ns",
 		"x=100ns,y=140ns,edge=1.0-2.0:250ns,edge=0.1-0.2:80ns",
+		"edge=0.0-1.0:250ns,edge=1.0-2.0:50ns", // distinct edges sharing an endpoint
 	} {
 		s, err := ParseLinkLat(spec)
 		if err != nil {
@@ -63,17 +40,21 @@ func TestLinkLatSpecRoundTrip(t *testing.T) {
 
 func TestLinkLatSpecRejections(t *testing.T) {
 	for _, spec := range []string{
-		"z=100ns",             // unknown key
-		"x=banana",            // not a duration
-		"edge=1.0-3.0:250ns",  // endpoints not mesh neighbors
-		"edge=1.0-2.0",        // missing latency
-		"edge=1.0:250ns",      // missing second endpoint
-		"edge=a.b-2.0:250ns",  // non-numeric coordinate
-		"edge=1.0-2.0:-250ns", // negative latency
-		"x",                   // not key=value
-		"x=0s",                // explicit zero is not "unset"
-		"y=0ns",               // explicit zero is not "unset"
-		"x=-100ns",            // negative axis latency
+		"z=100ns",                              // unknown key
+		"x=banana",                             // not a duration
+		"edge=1.0-3.0:250ns",                   // endpoints not mesh neighbors
+		"edge=1.0-2.0",                         // missing latency
+		"edge=1.0:250ns",                       // missing second endpoint
+		"edge=a.b-2.0:250ns",                   // non-numeric coordinate
+		"edge=1.0-2.0:-250ns",                  // negative latency
+		"x",                                    // not key=value
+		"x=0s",                                 // explicit zero is not "unset"
+		"y=0ns",                                // explicit zero is not "unset"
+		"x=-100ns",                             // negative axis latency
+		"x=2562047h",                           // overflows the picosecond clock
+		"edge=0.0-1.0:2562047h",                // overflows the picosecond clock
+		"edge=0.0-1.0:250ns,edge=0.0-1.0:50ns", // edge named twice
+		"edge=0.0-1.0:250ns,edge=1.0-0.0:50ns", // edge named twice, reversed
 	} {
 		if _, err := ParseLinkLat(spec); err == nil {
 			t.Errorf("ParseLinkLat(%q) succeeded, want error", spec)
@@ -133,13 +114,5 @@ func TestShardGateErrorTyped(t *testing.T) {
 	}
 	if !strings.Contains(gate.Error(), "-shards 1") {
 		t.Errorf("gate error %q does not name the fix", gate.Error())
-	}
-}
-
-func TestValidateWindowMode(t *testing.T) {
-	p := Default()
-	p.Window = WindowMode(99)
-	if err := p.Validate(); err == nil {
-		t.Error("Validate accepted an unknown window mode")
 	}
 }

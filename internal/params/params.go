@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/faults"
 )
 
@@ -95,11 +96,6 @@ type Params struct {
 	// at any valid setting. Shards > 1 requires the mesh fabric and must
 	// tile the geometry (see mesh.Partition).
 	Shards int
-
-	// Window selects the sharded engine's lookahead schedule (see
-	// WindowMode). Output is byte-identical across modes; they trade
-	// barrier frequency only. Ignored on the single-shard engine.
-	Window WindowMode
 
 	// LinkLat optionally overrides per-edge mesh link latencies (the
 	// -linklat flag). The empty spec keeps every edge at HopLatency, so
@@ -276,7 +272,6 @@ func Default() Params {
 	return Params{
 		MeshWidth:      4,
 		MeshHeight:     4,
-		Window:         WindowElide,
 		CoresPerNode:   16,
 		SocketsPerNode: 4,
 
@@ -349,6 +344,10 @@ func (p Params) Validate() error {
 	switch {
 	case p.MeshWidth < 1 || p.MeshHeight < 1:
 		return fmt.Errorf("params: mesh %dx%d must be at least 1x1", p.MeshWidth, p.MeshHeight)
+	case p.MeshWidth > addr.MaxNode || p.MeshHeight > addr.MaxNode:
+		// Checked before Nodes() multiplies: W*H can wrap to a small or
+		// zero count that would slip past the prefix-space check.
+		return fmt.Errorf("params: mesh %dx%d exceeds %d nodes per dimension", p.MeshWidth, p.MeshHeight, addr.MaxNode)
 	case p.Nodes() >= 1<<NodePrefixBits:
 		return fmt.Errorf("params: %d nodes exceed %d-bit prefix space (node 0 is reserved)", p.Nodes(), NodePrefixBits)
 	case p.CoresPerNode < 1:
@@ -385,8 +384,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: Shards %d < 0", p.Shards)
 	case p.Shards > p.Nodes():
 		return fmt.Errorf("params: Shards %d exceed %d nodes", p.Shards, p.Nodes())
-	case !p.Window.Valid():
-		return fmt.Errorf("params: unknown window mode %d", int(p.Window))
 	}
 	if p.Shards > 1 && p.Fabric != FabricMesh {
 		return &ShardGateError{Feature: "the " + p.Fabric.String() + " fabric", Shards: p.Shards}

@@ -1,6 +1,8 @@
 package params
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,31 +44,41 @@ func TestRemoteRoundTrip(t *testing.T) {
 }
 
 func TestValidateRejections(t *testing.T) {
+	// W*H wraps to 0 at this size, which must not slip past the
+	// prefix-space check into a misleading later failure.
+	half := 1 << (strconv.IntSize / 2)
 	cases := []struct {
 		name string
 		edit func(*Params)
+		want string // error substring, when the message matters
 	}{
-		{"zero mesh", func(p *Params) { p.MeshWidth = 0 }},
-		{"too many nodes", func(p *Params) { p.MeshWidth, p.MeshHeight = 1<<7, 1<<7 }},
-		{"no cores", func(p *Params) { p.CoresPerNode = 0 }},
-		{"no sockets", func(p *Params) { p.SocketsPerNode = 0 }},
-		{"zero memory", func(p *Params) { p.MemPerNode = 0 }},
-		{"unaligned memory", func(p *Params) { p.MemPerNode = PageSize + 1 }},
-		{"private exceeds total", func(p *Params) { p.PrivateMemPerNode = p.MemPerNode + PageSize }},
-		{"unaligned private", func(p *Params) { p.PrivateMemPerNode = PageSize / 2 }},
-		{"memory too large for local space", func(p *Params) { p.MemPerNode = 1 << (PhysAddrBits - NodePrefixBits + 1) }},
-		{"zero local window", func(p *Params) { p.LocalOutstanding = 0 }},
-		{"zero remote window", func(p *Params) { p.RemoteOutstanding = 0 }},
-		{"zero rmc queue", func(p *Params) { p.RMCQueueDepth = 0 }},
-		{"negative latency", func(p *Params) { p.DRAMLatency = -1 }},
-		{"zero resident pages", func(p *Params) { p.SwapResidentPages = 0 }},
+		{"zero mesh", func(p *Params) { p.MeshWidth = 0 }, ""},
+		{"too many nodes", func(p *Params) { p.MeshWidth, p.MeshHeight = 1<<7, 1<<7 }, "prefix space"},
+		{"mesh product overflows", func(p *Params) { p.MeshWidth, p.MeshHeight = half, half }, "nodes per dimension"},
+		{"mesh width past node space", func(p *Params) { p.MeshWidth, p.MeshHeight = 1<<14, 1 }, "nodes per dimension"},
+		{"no cores", func(p *Params) { p.CoresPerNode = 0 }, ""},
+		{"no sockets", func(p *Params) { p.SocketsPerNode = 0 }, ""},
+		{"zero memory", func(p *Params) { p.MemPerNode = 0 }, ""},
+		{"unaligned memory", func(p *Params) { p.MemPerNode = PageSize + 1 }, ""},
+		{"private exceeds total", func(p *Params) { p.PrivateMemPerNode = p.MemPerNode + PageSize }, ""},
+		{"unaligned private", func(p *Params) { p.PrivateMemPerNode = PageSize / 2 }, ""},
+		{"memory too large for local space", func(p *Params) { p.MemPerNode = 1 << (PhysAddrBits - NodePrefixBits + 1) }, ""},
+		{"zero local window", func(p *Params) { p.LocalOutstanding = 0 }, ""},
+		{"zero remote window", func(p *Params) { p.RemoteOutstanding = 0 }, ""},
+		{"zero rmc queue", func(p *Params) { p.RMCQueueDepth = 0 }, ""},
+		{"negative latency", func(p *Params) { p.DRAMLatency = -1 }, ""},
+		{"zero resident pages", func(p *Params) { p.SwapResidentPages = 0 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Default()
 			tc.edit(&p)
-			if err := p.Validate(); err == nil {
-				t.Errorf("Validate accepted %s", tc.name)
+			err := p.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate() = %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

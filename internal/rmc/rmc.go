@@ -255,9 +255,6 @@ func (r *RMC) register(m *metrics.Registry) {
 	r.lat = m.Histogram(metrics.FamRMCLatency, "remote request round-trip time", node, metrics.TimeBuckets())
 }
 
-// Self returns the RMC's node identifier.
-func (r *RMC) Self() addr.NodeID { return r.self }
-
 // ClientUtilization returns the client-role occupancy fraction.
 func (r *RMC) ClientUtilization(elapsed sim.Time) float64 { return r.client.Utilization(elapsed) }
 

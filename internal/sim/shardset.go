@@ -9,27 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// WindowPolicy selects how a multi-shard set sizes its lookahead
-// windows. The policies trade barrier frequency only: simulated output
-// is byte-identical under all of them (DESIGN §16).
-type WindowPolicy int
-
-const (
-	// PolicyUniform is the PR 9 baseline: every shard runs the same
-	// global window [G, G+window) derived from the minimum single-hop
-	// bound, and every barrier drains the whole exchange.
-	PolicyUniform WindowPolicy = iota
-	// PolicyDistance widens shard i's window to G + min_j B[j][i]: the
-	// provable minimum delivery bound into i from anywhere, so shards
-	// far from every boundary run multi-hop-wide windows.
-	PolicyDistance
-	// PolicyElide additionally consults each shard's earliest pending
-	// work e_j (queued events and held cross-shard intents): shard i may
-	// run to min_j (e_j + B[j][i]), fast-forwarding past windows no
-	// in-flight frame can touch — an appointment, not a guess.
-	PolicyElide
-)
-
 // MaxTime is the "no pending work" sentinel of the window scheduler.
 const MaxTime = Time(math.MaxInt64)
 
@@ -51,11 +30,9 @@ type ShardSet struct {
 	// Lookahead configuration, installed by the cluster before Run.
 	// bounds[j][i] lower-bounds the delivery time of any frame sent by
 	// shard j into shard i; nil bounds fall back to the uniform window.
-	policy   WindowPolicy
 	bounds   [][]Time
-	minInto  []Time // min over j != i of bounds[j][i]
-	minB     Time   // min over all bounds entries (incl. self rows)
-	capOver  Time   // limit cap above G (0 = none; retransmit timeout under a fault plan)
+	minB     Time // min over all bounds entries (incl. self rows)
+	capOver  Time // limit cap above G (MaxTime = none)
 	earliest func(shard int) Time
 
 	// Barriers counts scheduler iterations (one barrier each); Elided
@@ -122,12 +99,13 @@ func NewShardSet(k int, window Time) *ShardSet {
 	}
 	met := metrics.NewRegistry()
 	s := &ShardSet{
-		window: window,
-		met:    met,
-		merged: metrics.NewHistogram(metrics.TimeBuckets()),
-		limits: make([]Time, k),
-		ev:     make([]Time, k),
-		hv:     make([]Time, k),
+		window:  window,
+		capOver: window,
+		met:     met,
+		merged:  metrics.NewHistogram(metrics.TimeBuckets()),
+		limits:  make([]Time, k),
+		ev:      make([]Time, k),
+		hv:      make([]Time, k),
 	}
 	for i := 0; i < k; i++ {
 		s.engines = append(s.engines, newBare(met))
@@ -168,8 +146,9 @@ func (s *ShardSet) Engine(i int) *Engine { return s.engines[i] }
 // Metrics returns the registry shared by every shard.
 func (s *ShardSet) Metrics() *metrics.Registry { return s.met }
 
-// Window returns the uniform lookahead window (the PolicyUniform width
-// and the accounting unit of the elision counter).
+// Window returns the uniform lookahead window: the single-hop cadence
+// (a ConfigureLookahead cap of Window reproduces it) and the accounting
+// unit of the elision counter.
 func (s *ShardSet) Window() Time { return s.window }
 
 // OnBarrier installs the hook run on the coordinator after each window,
@@ -182,19 +161,20 @@ func (s *ShardSet) Window() Time { return s.window }
 // schedule onto any shard's engine.
 func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 
-// ConfigureLookahead installs the window policy of a multi-shard set.
-// bounds[j][i] must lower-bound the delivery time into shard i of any
-// frame sent by shard j (mesh.MinDelayMatrix); nil keeps the uniform
-// fallback. capOver, when positive, caps every limit at G+capOver: with
-// a fault plan armed, drain-time retransmission timers land at least a
+// ConfigureLookahead installs the lookahead bounds of a multi-shard
+// set. bounds[j][i] must lower-bound the delivery time into shard i of
+// any frame sent by shard j (mesh.MinDelayMatrix); nil keeps the uniform
+// window. capOver, when positive, caps every limit at G+capOver: with a
+// fault plan armed, drain-time retransmission timers land at least a
 // full timeout after the send they re-arm, so no shard may run past the
-// earliest possible timer. Calling it again (after an express link
-// tightens the matrix) is only allowed with the set parked — before Run
-// or between Run calls — and panics mid-run: a send routed over a new,
-// faster link inside the current window would be bounded by the tighter
-// matrix while the destination shard's limit was planned with the old
-// one, so the delivery could land in that shard's past.
-func (s *ShardSet) ConfigureLookahead(policy WindowPolicy, bounds [][]Time, capOver Time) {
+// earliest possible timer; a cap of Window reproduces the single-hop
+// cadence. Calling it again (after an express link tightens the matrix)
+// is only allowed with the set parked — before Run or between Run calls
+// — and panics mid-run: a send routed over a new, faster link inside
+// the current window would be bounded by the tighter matrix while the
+// destination shard's limit was planned with the old one, so the
+// delivery could land in that shard's past.
+func (s *ShardSet) ConfigureLookahead(bounds [][]Time, capOver Time) {
 	if len(s.engines) == 1 {
 		return
 	}
@@ -204,31 +184,19 @@ func (s *ShardSet) ConfigureLookahead(policy WindowPolicy, bounds [][]Time, capO
 	if bounds != nil && len(bounds) != len(s.engines) {
 		panic(fmt.Sprintf("sim: %d bound rows for %d shards", len(bounds), len(s.engines)))
 	}
-	s.policy, s.bounds, s.capOver = policy, bounds, capOver
-	s.minInto, s.minB = nil, 0
-	if bounds == nil {
-		return
+	if capOver <= 0 {
+		capOver = MaxTime
 	}
-	s.minB = MaxTime
-	s.minInto = make([]Time, len(s.engines))
-	for i := range s.minInto {
-		m := MaxTime
-		for j := range bounds {
-			if bounds[j][i] < s.minB {
-				s.minB = bounds[j][i]
-			}
-			if j != i && bounds[j][i] < m {
-				m = bounds[j][i]
+	if bounds == nil && capOver > s.window {
+		capOver = s.window
+	}
+	s.bounds, s.capOver, s.minB = bounds, capOver, MaxTime
+	for _, row := range bounds {
+		for _, b := range row {
+			if b < s.minB {
+				s.minB = b
 			}
 		}
-		// The self bound bounds[i][i] is deliberately absent from the
-		// static limit: a shard's own fresh sends clamp its window the
-		// moment they are recorded (Engine.ClampWindow, wired through
-		// the exchange), and its already-held sends enter plan through
-		// the held-intent term. Until shard i actually sends, nothing it
-		// does can deliver into itself, so its window may run as far as
-		// the other shards' bounds allow.
-		s.minInto[i] = m
 	}
 }
 
@@ -238,7 +206,7 @@ func (s *ShardSet) ConfigureLookahead(policy WindowPolicy, bounds [][]Time, capO
 // in the window that just ran, not only those held from earlier drains:
 // the probe is read at the barrier, before the hook merges fresh
 // intents, and the replay horizon's cascade bound is only sound over
-// every pending intent. The elision policy treats the probe as pending
+// every pending intent. The window planner treats the probe as pending
 // work (a held intent is an appointment: its delivery lands at or after
 // t + B[j][i]), and the replay horizon uses the global minimum to keep
 // the canonical stream prefix-closed.
@@ -322,9 +290,8 @@ func (s *ShardSet) Run() Time {
 // its time plus B[i][i] (Engine.ClampWindow). Deliveries placed at the
 // barrier therefore always land in the destination shard's future, and
 // the canonical replay stream stays (time, source, sequence)-sorted.
-// Under PolicyUniform the limit degrades to G + window, the PR 9
-// cadence (the clamp never binds there: any send in the window lands at
-// or after G + one edge cost >= G + window).
+// The limit is then capped at G + capOver; with nil bounds the cap
+// alone plans the uniform window G + window.
 func (s *ShardSet) plan() Time {
 	g := MaxTime
 	for j, e := range s.engines {
@@ -348,41 +315,18 @@ func (s *ShardSet) plan() Time {
 	if g == MaxTime {
 		return g
 	}
-	switch {
-	case s.bounds == nil || s.policy == PolicyUniform:
-		lim := g + s.window
-		for i := range s.limits {
-			s.limits[i] = lim
-		}
-	case s.policy == PolicyDistance:
-		for i := range s.limits {
-			lim := satAdd(g, s.minInto[i])
-			if h := satAdd(s.hv[i], s.bounds[i][i]); h < lim {
-				lim = h
-			}
-			s.limits[i] = lim
-		}
-	default: // PolicyElide
-		for i := range s.limits {
-			lim := satAdd(s.hv[i], s.bounds[i][i])
+	capAt := satAdd(g, s.capOver)
+	for i := range s.limits {
+		lim := MaxTime
+		if s.bounds != nil {
+			lim = satAdd(s.hv[i], s.bounds[i][i])
 			for j := range s.engines {
-				if j == i {
-					continue
-				}
-				if b := satAdd(s.ev[j], s.bounds[j][i]); b < lim {
+				if b := satAdd(s.ev[j], s.bounds[j][i]); j != i && b < lim {
 					lim = b
 				}
 			}
-			s.limits[i] = lim
 		}
-	}
-	if s.capOver > 0 {
-		capAt := satAdd(g, s.capOver)
-		for i := range s.limits {
-			if s.limits[i] > capAt {
-				s.limits[i] = capAt
-			}
-		}
+		s.limits[i] = min(lim, capAt)
 	}
 	s.Barriers++
 	minLim := s.limits[0]

@@ -99,15 +99,16 @@ func TestShardSetBarrierScheduling(t *testing.T) {
 }
 
 // TestShardSetDistancePolicyWidensWindows pins the point of the
-// lookahead matrix: with a provable 10x-the-window delivery bound, the
-// distance policy runs the same event program in a tenth of the
-// barriers, and the elision counter accounts for the skipped uniform
+// distance-aware lookahead matrix: with a provable 10x-the-window
+// delivery bound, the uncapped schedule runs the same event program in
+// a fraction of the barriers the single-hop cadence (a cap of one
+// window) pays, and the elision counter accounts for the skipped
 // windows. The program itself must execute identically.
 func TestShardSetDistancePolicyWidensWindows(t *testing.T) {
 	const window = Time(10)
-	run := func(policy WindowPolicy, bounds [][]Time) (int, uint64, uint64) {
+	run := func(capOver Time) (int, uint64, uint64) {
 		s := NewShardSet(2, window)
-		s.ConfigureLookahead(policy, bounds, 0)
+		s.ConfigureLookahead([][]Time{{100, 100}, {100, 100}}, capOver)
 		ran := 0
 		var tick func()
 		tick = func() {
@@ -121,23 +122,23 @@ func TestShardSetDistancePolicyWidensWindows(t *testing.T) {
 		s.Run()
 		return ran, s.Barriers, s.Elided
 	}
-	b := [][]Time{{100, 100}, {100, 100}}
-	wantRan, uniformBarriers, _ := run(PolicyUniform, b)
-	for _, policy := range []WindowPolicy{PolicyDistance, PolicyElide} {
-		ran, barriers, elided := run(policy, b)
-		if ran != wantRan {
-			t.Fatalf("policy %d: ran %d events, uniform ran %d", policy, ran, wantRan)
-		}
-		if barriers*5 > uniformBarriers {
-			t.Errorf("policy %d: %d barriers, want <= uniform's %d / 5", policy, barriers, uniformBarriers)
-		}
-		if elided == 0 {
-			t.Errorf("policy %d: elision counter stayed zero across widened windows", policy)
-		}
+	wantRan, uniformBarriers, uniformElided := run(window)
+	if uniformElided != 0 {
+		t.Errorf("single-hop cadence elided %d windows, want 0", uniformElided)
+	}
+	ran, barriers, elided := run(0)
+	if ran != wantRan {
+		t.Fatalf("ran %d events, the single-hop cadence ran %d", ran, wantRan)
+	}
+	if barriers*5 > uniformBarriers {
+		t.Errorf("%d barriers, want <= the single-hop cadence's %d / 5", barriers, uniformBarriers)
+	}
+	if elided == 0 {
+		t.Error("elision counter stayed zero across widened windows")
 	}
 }
 
-// TestShardSetElisionHonorsHeldIntents checks the elide policy treats a
+// TestShardSetElisionHonorsHeldIntents checks the planner treats a
 // held cross-shard intent as pending work: the shard it targets may not
 // run past intent time + bound, and the replay horizon eventually
 // exposes the intent for replay.
@@ -145,7 +146,7 @@ func TestShardSetElisionHonorsHeldIntents(t *testing.T) {
 	const window = Time(10)
 	s := NewShardSet(2, window)
 	b := [][]Time{{50, 50}, {50, 50}}
-	s.ConfigureLookahead(PolicyElide, b, 0)
+	s.ConfigureLookahead(b, 0)
 	held := Time(500) // intent recorded by shard 0, not yet replayed
 	var replayed Time
 	s.SetIntentSource(func(shard int) Time {

@@ -98,17 +98,6 @@ type BulkSpec = params.BulkSpec
 // "frame=16,maxframes=256".
 func ParseBulkSpec(spec string) (BulkSpec, error) { return params.ParseBulk(spec) }
 
-// WindowMode selects the sharded engine's lookahead schedule (the CLIs'
-// -window flag): uniform single-hop windows, distance-aware windows
-// from partition geometry, or adaptive barrier elision (the default).
-// Figures and metrics are byte-identical under every mode; only the
-// barrier frequency — wall-clock speed — changes.
-type WindowMode = params.WindowMode
-
-// ParseWindowMode reads the CLI -window syntax: "uniform", "distance",
-// or "elide". The empty string selects the default (elide).
-func ParseWindowMode(s string) (WindowMode, error) { return params.ParseWindowMode(s) }
-
 // LinkLatSpec is the parsed -linklat flag: per-axis and per-edge mesh
 // link traversal latencies. The zero value overrides nothing (every
 // edge at the calibrated hop latency); String renders exactly what
@@ -126,7 +115,8 @@ type ShardGateError = params.ShardGateError
 
 // ParseMesh reads the CLI -mesh syntax "WxH" (e.g. "16x16") and returns
 // the dimensions. An empty spec returns (0, 0): keep the calibrated
-// default.
+// default. A mesh with more nodes than the address map can name is
+// rejected here, with the same error Config validation gives.
 func ParseMesh(spec string) (w, h int, err error) {
 	if spec == "" {
 		return 0, 0, nil
@@ -139,6 +129,11 @@ func ParseMesh(spec string) (w, h int, err error) {
 	h, errH := strconv.Atoi(spec[i+1:])
 	if errW != nil || errH != nil || w < 2 || h < 2 {
 		return 0, 0, fmt.Errorf("ncdsm: mesh spec %q must be WxH with both dimensions >= 2", spec)
+	}
+	p := params.Default()
+	p.MeshWidth, p.MeshHeight = w, h
+	if err := p.Validate(); err != nil {
+		return 0, 0, err
 	}
 	return w, h, nil
 }
@@ -475,10 +470,6 @@ type ExperimentOptions struct {
 	// PDES shards (the CLIs' -shards flag). 0 or 1 is single-shard;
 	// results are byte-identical at every setting.
 	Shards int
-	// Window selects the sharded engine's lookahead schedule (the CLIs'
-	// -window flag): "uniform", "distance", or "elide". Empty keeps the
-	// default (elide). Results are byte-identical under every mode.
-	Window string
 	// LinkLat overrides mesh link traversal latencies per axis or per
 	// edge (the CLIs' -linklat flag). The zero value keeps the uniform
 	// calibrated hop latency and is byte-identical to not setting it.
@@ -521,11 +512,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	if o.Shards != 0 {
 		io.P.Shards = o.Shards
 	}
-	mode, err := params.ParseWindowMode(o.Window)
-	if err != nil {
-		return experiments.Options{}, err
-	}
-	io.P.Window = mode
 	if !o.LinkLat.Empty() {
 		io.P.LinkLat = o.LinkLat
 	}
