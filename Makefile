@@ -51,11 +51,13 @@ perf-gate:
 # consistency lab's state machines: the trace reader, the HNC frame
 # integrity check that the fault injector's corrupted frames must never
 # slip past, random litmus programs under every protocol with directory
-# invariants held at every step, and the -linklat and -mesh flag
-# parsers. CI runs the same 10-second smokes.
+# invariants held at every step, the -linklat and -mesh flag parsers,
+# and the -faults plan parser's canonical String round trip. CI runs the
+# same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
 	$(GO) test -fuzz=FuzzLitmusProgram -fuzztime=10s -run='^$$' ./internal/consistency
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/faults

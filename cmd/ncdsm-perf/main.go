@@ -25,8 +25,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/addr"
@@ -123,7 +125,7 @@ func main() {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(err)
 	}
-	if code := compare(base, cur, *tolerance); code != 0 {
+	if code := compare(os.Stdout, base, cur, *tolerance); code != 0 {
 		os.Exit(code)
 	}
 	fmt.Println("ncdsm-perf: PASS (within tolerance of baseline)")
@@ -247,24 +249,32 @@ func measureScale() ScaleDoc {
 	return doc
 }
 
-// compare applies the gate. ns/op regressions are judged against the
-// calibration-rescaled baseline; allocs/op must not grow at all.
-func compare(base, cur Baseline, tolerance float64) int {
+// compare applies the gate, reporting one line per baseline benchmark
+// to w in name order and returning the exit code. ns/op regressions are
+// judged against the calibration-rescaled baseline; allocs/op must not
+// grow at all.
+func compare(w io.Writer, base, cur Baseline, tolerance float64) int {
 	scale := 1.0
 	bc, okb := base.Benchmarks["calibration"]
 	cc, okc := cur.Benchmarks["calibration"]
 	if okb && okc && bc.NsPerOp > 0 {
 		scale = cc.NsPerOp / bc.NsPerOp
-		fmt.Printf("calibration: host is %.2fx the baseline machine's ns/op\n", scale)
+		fmt.Fprintf(w, "calibration: host is %.2fx the baseline machine's ns/op\n", scale)
 	}
+	names := make([]string, 0, len(base.Benchmarks))
+	for name := range base.Benchmarks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	code := 0
-	for name, b := range base.Benchmarks {
+	for _, name := range names {
 		if name == "calibration" {
 			continue
 		}
+		b := base.Benchmarks[name]
 		c, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Printf("FAIL %s: benchmark missing from current run\n", name)
+			fmt.Fprintf(w, "FAIL %s: benchmark missing from current run\n", name)
 			code = 1
 			continue
 		}
@@ -281,14 +291,14 @@ func compare(base, cur Baseline, tolerance float64) int {
 		}
 		switch {
 		case c.AllocsPerOp > allowedAllocs:
-			fmt.Printf("FAIL %s: allocs/op %.1f > allowed %.1f (baseline %.1f)\n", name, c.AllocsPerOp, allowedAllocs, b.AllocsPerOp)
+			fmt.Fprintf(w, "FAIL %s: allocs/op %.1f > allowed %.1f (baseline %.1f)\n", name, c.AllocsPerOp, allowedAllocs, b.AllocsPerOp)
 			code = 1
 		case c.NsPerOp > allowed:
-			fmt.Printf("FAIL %s: %.1f ns/op > %.1f allowed (baseline %.1f x %.2f cal x %.0f%% tolerance)\n",
+			fmt.Fprintf(w, "FAIL %s: %.1f ns/op > %.1f allowed (baseline %.1f x %.2f cal x %.0f%% tolerance)\n",
 				name, c.NsPerOp, allowed, b.NsPerOp, scale, 100*(1+tol))
 			code = 1
 		default:
-			fmt.Printf("ok   %s: %.1f ns/op (allowed %.1f), %.1f allocs/op\n", name, c.NsPerOp, allowed, c.AllocsPerOp)
+			fmt.Fprintf(w, "ok   %s: %.1f ns/op (allowed %.1f), %.1f allocs/op\n", name, c.NsPerOp, allowed, c.AllocsPerOp)
 		}
 	}
 	return code
@@ -523,11 +533,11 @@ func benchLineCachedBatch(b *testing.B) {
 	}
 	ops := benchOps(4096, 64<<20)
 	var sink params.Duration
-	sink += memmodel.Batch(c, ops) // warm
+	sink += c.AccessBatch(ops) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += memmodel.Batch(c, ops)
+		sink += c.AccessBatch(ops)
 	}
 	if sink == 0 {
 		b.Fatal("priced nothing")
@@ -544,11 +554,11 @@ func benchSwapBatch(b *testing.B) {
 	}
 	ops := benchOps(4096, 1024*params.PageSize)
 	var sink params.Duration
-	sink += memmodel.Batch(sw, ops) // warm
+	sink += sw.AccessBatch(ops) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += memmodel.Batch(sw, ops)
+		sink += sw.AccessBatch(ops)
 	}
 	if sink == 0 {
 		b.Fatal("priced nothing")

@@ -123,9 +123,12 @@ type recordingAccessor struct {
 	err error
 }
 
-func (r *recordingAccessor) Access(a uint64, write bool) params.Duration {
-	if r.err == nil {
-		r.err = r.w.Add(trace.Record{Addr: a, Write: write})
+func (r *recordingAccessor) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	for _, op := range ops {
+		if r.err != nil {
+			break
+		}
+		r.err = r.w.Add(trace.Record{Addr: op.Addr, Write: op.Write})
 	}
 	return 0
 }

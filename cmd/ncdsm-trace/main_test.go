@@ -55,6 +55,13 @@ func TestErrors(t *testing.T) {
 	if err := doReplay(out, "warp-drive", 1, 0); err == nil {
 		t.Error("unknown config accepted")
 	}
+	// Hop distances outside the mesh must not price negative or
+	// beyond-diameter round trips.
+	for _, hops := range []int{-1, 99} {
+		if err := doReplay(out, "remote", hops, 0); err == nil {
+			t.Errorf("replay at %d hops accepted", hops)
+		}
+	}
 	if err := doInfo(filepath.Join(dir, "missing.trace")); err == nil {
 		t.Error("info on missing trace succeeded")
 	}

@@ -95,8 +95,8 @@ func main() {
 	fmt.Println("Equation (2) has no locality term; Equation (1) is all locality.")
 }
 
-// sweep prices searches through the batched fast path (identical costs
-// to scalar Search; see DESIGN.md §12).
+// sweep averages the cost of random searches, each priced as one batch
+// of its modeled accesses (see DESIGN.md §12).
 func sweep(tr *btree.Tree, acc memmodel.Accessor, searches int) params.Duration {
 	rng := rand.New(rand.NewSource(7))
 	var b memmodel.Batcher

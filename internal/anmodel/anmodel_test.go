@@ -89,12 +89,13 @@ func TestEq1MatchesMechanisticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var measured params.Duration
+	var b memmodel.Batcher
 	for pg := 0; pg < pages; pg++ {
 		for i := 0; i < perPage; i++ {
-			measured += s.Access(uint64(pg)*params.PageSize+uint64(i*64), false)
+			b.Read(uint64(pg)*params.PageSize + uint64(i*64))
 		}
 	}
+	measured := b.Flush(s)
 	in := FromParams(p, 1)
 	in.ATotal = pages * perPage
 	in.APage = perPage
@@ -111,11 +112,12 @@ func TestEq1MatchesMechanisticModel(t *testing.T) {
 func TestEq2MatchesMechanisticModel(t *testing.T) {
 	p := params.Default()
 	r := memmodel.Remote{P: p, Hops: 2}
-	var measured params.Duration
+	var b memmodel.Batcher
 	const n = 5000
 	for i := 0; i < n; i++ {
-		measured += r.Access(uint64(i*977), false)
+		b.Read(uint64(i * 977))
 	}
+	measured := b.Flush(r)
 	in := FromParams(p, 2)
 	in.ATotal, in.APage = n, 1
 	predicted, err := in.RemoteMemoryTime()

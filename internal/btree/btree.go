@@ -138,81 +138,13 @@ func childPtrAddr(n *node, i int) uint64 {
 	return entryAddr(n, i) + 8
 }
 
-// Search looks a key up, charging every modeled memory access to mem.
-// It returns whether the key exists, the accumulated memory time, and
-// the number of accesses performed.
-func (t *Tree) Search(key uint64, mem memmodel.Accessor) (found bool, cost params.Duration, accesses uint64) {
-	n := t.root
-	for n != nil {
-		// Read the node header (key count, flags).
-		cost += mem.Access(n.base, false)
-		accesses++
-		// Binary search over the key array; each probe is one read.
-		lo, hi := 0, len(n.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			cost += mem.Access(entryAddr(n, mid), false)
-			accesses++
-			switch {
-			case n.keys[mid] == key:
-				return true, cost, accesses
-			case n.keys[mid] < key:
-				lo = mid + 1
-			default:
-				hi = mid
-			}
-		}
-		if n.leaf() {
-			return false, cost, accesses
-		}
-		// Read the child pointer and descend.
-		cost += mem.Access(childPtrAddr(n, lo), false)
-		accesses++
-		n = n.children[lo]
-	}
-	return false, cost, accesses
-}
-
-// SearchKV is Search returning the key's payload word as well (charging
-// one extra read for the payload slot on a hit).
-func (t *Tree) SearchKV(key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	n := t.root
-	for n != nil {
-		cost += mem.Access(n.base, false)
-		accesses++
-		lo, hi := 0, len(n.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			cost += mem.Access(entryAddr(n, mid), false)
-			accesses++
-			switch {
-			case n.keys[mid] == key:
-				cost += mem.Access(entryAddr(n, mid)+16, false) // payload slot
-				accesses++
-				return n.vals[mid], true, cost, accesses
-			case n.keys[mid] < key:
-				lo = mid + 1
-			default:
-				hi = mid
-			}
-		}
-		if n.leaf() {
-			return 0, false, cost, accesses
-		}
-		cost += mem.Access(childPtrAddr(n, lo), false)
-		accesses++
-		n = n.children[lo]
-	}
-	return 0, false, cost, accesses
-}
-
-// SearchBatch is Search pricing through the batched fast path: the walk
-// records every modeled access — one node visit after another — into b
-// and prices the whole op sequence in one memmodel.Batch call, so the
-// accessor sees exactly Search's access sequence without an interface
-// call per access. b is a scratch buffer the caller reuses across
-// searches (it must be empty between calls); results are identical to
-// Search against the same accessor state.
+// SearchBatch looks a key up, charging every modeled memory access to
+// mem: one header read per visited node, one read per binary-search
+// probe, and one child-pointer read per descent. The walk records the
+// accesses into b and prices the whole op sequence in one AccessBatch
+// call. b is a scratch buffer the caller reuses across searches (it
+// must be empty between calls). It returns whether the key exists, the
+// accumulated memory time, and the number of accesses performed.
 func (t *Tree) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (found bool, cost params.Duration, accesses uint64) {
 	n := t.root
 	for n != nil {
@@ -242,7 +174,8 @@ func (t *Tree) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batche
 	return false, b.Flush(mem), accesses
 }
 
-// SearchKVBatch is SearchKV with SearchBatch's batched pricing.
+// SearchKVBatch is SearchBatch returning the key's payload word as well
+// (charging one extra read for the payload slot on a hit).
 func (t *Tree) SearchKVBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
 	n := t.root
 	for n != nil {
@@ -289,69 +222,20 @@ func (t *Tree) Lookup(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// RangeScan visits every key in [lo, hi] in ascending order, calling fn
-// for each and charging the modeled memory accesses to mem: one header
-// read per visited node, one read per inspected key, and one pointer
-// read per descended child. Range queries are the other database
-// operation the paper's short-term plan names; their sequential page
-// touch pattern is the friendliest case for both swap and the RMC's
-// prefetcher.
-func (t *Tree) RangeScan(lo, hi uint64, mem memmodel.Accessor, fn func(uint64)) (cost params.Duration, accesses uint64) {
-	if lo > hi {
-		return 0, 0
-	}
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		cost += mem.Access(n.base, false) // header
-		accesses++
-		// Find the first key >= lo by binary search (charged).
-		start, hiIdx := 0, len(n.keys)
-		for start < hiIdx {
-			mid := (start + hiIdx) / 2
-			cost += mem.Access(entryAddr(n, mid), false)
-			accesses++
-			if n.keys[mid] < lo {
-				start = mid + 1
-			} else {
-				hiIdx = mid
-			}
-		}
-		for i := start; ; i++ {
-			if !n.leaf() {
-				cost += mem.Access(childPtrAddr(n, i), false)
-				accesses++
-				rec(n.children[i])
-			}
-			if i >= len(n.keys) {
-				return
-			}
-			cost += mem.Access(entryAddr(n, i), false)
-			accesses++
-			k := n.keys[i]
-			if k > hi {
-				return
-			}
-			if k >= lo {
-				fn(k)
-			}
-		}
-	}
-	rec(t.root)
-	return cost, accesses
-}
-
 // rangeScanFlushThreshold bounds RangeScanBatch's buffered ops so a
 // whole-tree scan doesn't grow the Batcher without limit. Batch
 // boundaries never change costs or accessor state, so the threshold is
 // purely a memory knob.
 const rangeScanFlushThreshold = 4096
 
-// RangeScanBatch is RangeScan pricing through the batched fast path:
-// the identical visit order and access sequence, recorded into b and
-// priced in Batch calls of up to rangeScanFlushThreshold ops. b must be
+// RangeScanBatch visits every key in [lo, hi] in ascending order,
+// calling fn for each and charging the modeled memory accesses to mem:
+// one header read per visited node, one read per inspected key, and one
+// pointer read per descended child. Range queries are the other
+// database operation the paper's short-term plan names; their
+// sequential page touch pattern is the friendliest case for both swap
+// and the RMC's prefetcher. The accesses are recorded into b and priced
+// in AccessBatch calls of up to rangeScanFlushThreshold ops. b must be
 // empty between calls.
 func (t *Tree) RangeScanBatch(lo, hi uint64, mem memmodel.Accessor, b *memmodel.Batcher, fn func(uint64)) (cost params.Duration, accesses uint64) {
 	if lo > hi {

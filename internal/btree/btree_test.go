@@ -15,10 +15,12 @@ type countingMem struct {
 	addrs []uint64
 }
 
-func (c *countingMem) Access(a uint64, write bool) params.Duration {
-	c.n++
-	c.addrs = append(c.addrs, a)
-	return 1
+func (c *countingMem) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	for _, op := range ops {
+		c.n++
+		c.addrs = append(c.addrs, op.Addr)
+	}
+	return params.Duration(len(ops))
 }
 func (c *countingMem) Name() string { return "counting" }
 
@@ -44,8 +46,9 @@ func TestInsertSearchSmall(t *testing.T) {
 		t.Errorf("Size = %d", tr.Size)
 	}
 	mem := &countingMem{}
+	var b memmodel.Batcher
 	for _, k := range keys {
-		found, _, accs := tr.Search(k, mem)
+		found, _, accs := tr.SearchBatch(k, mem, &b)
 		if !found {
 			t.Errorf("key %d missing", k)
 		}
@@ -54,7 +57,7 @@ func TestInsertSearchSmall(t *testing.T) {
 		}
 	}
 	for _, k := range []uint64{0, 11, 55, 101} {
-		if found, _, _ := tr.Search(k, mem); found {
+		if found, _, _ := tr.SearchBatch(k, mem, &b); found {
 			t.Errorf("phantom key %d found", k)
 		}
 	}
@@ -208,11 +211,12 @@ func TestSearchCostLogarithmic(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := &countingMem{}
+	var b memmodel.Batcher
 	rng := rand.New(rand.NewSource(7))
 	var total uint64
 	const searches = 1000
 	for i := 0; i < searches; i++ {
-		_, _, accs := tr.Search(uint64(rng.Intn(200000)), mem)
+		_, _, accs := tr.SearchBatch(uint64(rng.Intn(200000)), mem, &b)
 		total += accs
 	}
 	perSearch := float64(total) / searches
@@ -297,12 +301,13 @@ func TestSearchUnderSwapLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _ = tr.Search(12345, sw)
+	var b memmodel.Batcher
+	tr.SearchBatch(12345, sw, &b)
 	coldMisses := sw.Cache().Misses
 	if coldMisses == 0 || int(coldMisses) > tr.Depth() {
 		t.Errorf("cold search faulted %d pages over depth %d", coldMisses, tr.Depth())
 	}
-	_, _, _ = tr.Search(12345, sw)
+	tr.SearchBatch(12345, sw, &b)
 	if sw.Cache().Misses != coldMisses {
 		t.Error("warm re-search faulted again")
 	}
@@ -335,7 +340,8 @@ func TestFootprintGrows(t *testing.T) {
 func TestEmptyTreeSearch(t *testing.T) {
 	tr, _ := New(8)
 	mem := &countingMem{}
-	if found, cost, accs := tr.Search(1, mem); found || cost != 0 || accs != 0 {
+	var b memmodel.Batcher
+	if found, cost, accs := tr.SearchBatch(1, mem, &b); found || cost != 0 || accs != 0 {
 		t.Error("empty tree search misbehaved")
 	}
 	if tr.Depth() != 0 {
@@ -352,8 +358,9 @@ func TestRangeScanSmall(t *testing.T) {
 		tr.Insert(k)
 	}
 	mem := &countingMem{}
+	var b memmodel.Batcher
 	var got []uint64
-	cost, accs := tr.RangeScan(25, 75, mem, func(k uint64) { got = append(got, k) })
+	cost, accs := tr.RangeScanBatch(25, 75, mem, &b, func(k uint64) { got = append(got, k) })
 	want := []uint64{30, 40, 50, 60, 70}
 	if len(got) != len(want) {
 		t.Fatalf("scan returned %v, want %v", got, want)
@@ -368,17 +375,17 @@ func TestRangeScanSmall(t *testing.T) {
 	}
 	// Inclusive bounds.
 	got = nil
-	tr.RangeScan(30, 70, mem, func(k uint64) { got = append(got, k) })
+	tr.RangeScanBatch(30, 70, mem, &b, func(k uint64) { got = append(got, k) })
 	if len(got) != 5 || got[0] != 30 || got[4] != 70 {
 		t.Errorf("inclusive scan = %v", got)
 	}
 	// Empty and inverted ranges.
 	got = nil
-	tr.RangeScan(101, 999, mem, func(k uint64) { got = append(got, k) })
+	tr.RangeScanBatch(101, 999, mem, &b, func(k uint64) { got = append(got, k) })
 	if len(got) != 0 {
 		t.Errorf("out-of-range scan = %v", got)
 	}
-	if c, a := tr.RangeScan(50, 20, mem, func(uint64) { t.Fatal("visited") }); c != 0 || a != 0 {
+	if c, a := tr.RangeScanBatch(50, 20, mem, &b, func(uint64) { t.Fatal("visited") }); c != 0 || a != 0 {
 		t.Error("inverted range did work")
 	}
 }
@@ -404,8 +411,8 @@ func TestRangeScanMatchesWalkProperty(t *testing.T) {
 			}
 		})
 		var got []uint64
-		mem := &countingMem{}
-		tr.RangeScan(lo, hi, mem, func(k uint64) { got = append(got, k) })
+		var b memmodel.Batcher
+		tr.RangeScanBatch(lo, hi, &countingMem{}, &b, func(k uint64) { got = append(got, k) })
 		if len(got) != len(want) {
 			return false
 		}
@@ -431,8 +438,9 @@ func TestRangeScanCostProportionalToRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := &countingMem{}
-	_, small := tr.RangeScan(1000, 1100, mem, func(uint64) {})
-	_, large := tr.RangeScan(1000, 51000, mem, func(uint64) {})
+	var b memmodel.Batcher
+	_, small := tr.RangeScanBatch(1000, 1100, mem, &b, func(uint64) {})
+	_, large := tr.RangeScanBatch(1000, 51000, mem, &b, func(uint64) {})
 	if large < 100*small/2 {
 		t.Errorf("scan cost not proportional: %d accesses for 100 keys, %d for 50000", small, large)
 	}
@@ -454,8 +462,8 @@ func newSwapMem(t *testing.T) memmodel.Accessor {
 	return acc
 }
 
-// TestSearchBatchMatchesScalar drives the scalar and batched searches
-// over identical trees and stateful accessors: found flags, costs,
+// TestSearchBatchMatchesScalar drives the scalar reference walk and the
+// batched search over identical trees and stateful accessors: found flags, costs,
 // access counts, and the address sequence seen by the memory must all
 // match.
 func TestSearchBatchMatchesScalar(t *testing.T) {
@@ -478,7 +486,7 @@ func TestSearchBatchMatchesScalar(t *testing.T) {
 		var b memmodel.Batcher
 		for i := 0; i < 3000; i++ {
 			key := uint64(rng.Intn(16000))
-			sf, sc, sa := scalarTree.Search(key, scalarMem)
+			sf, sc, sa := refSearch(scalarTree, key, scalarMem)
 			bf, bc, ba := batchTree.SearchBatch(key, batchMem, &b)
 			if sf != bf || sc != bc || sa != ba {
 				t.Fatalf("fanout %d key %d: scalar (%v,%d,%d) != batch (%v,%d,%d)",
@@ -491,8 +499,8 @@ func TestSearchBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSearchKVBatchMatchesScalar pins SearchKV against SearchKVBatch,
-// including the extra payload read on hits.
+// TestSearchKVBatchMatchesScalar pins SearchKVBatch against the scalar
+// reference walk, including the extra payload read on hits.
 func TestSearchKVBatchMatchesScalar(t *testing.T) {
 	scalarTree, _ := New(16)
 	batchTree, _ := New(16)
@@ -506,7 +514,7 @@ func TestSearchKVBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		key := uint64(rng.Intn(9000))
-		sv, sf, sc, sa := scalarTree.SearchKV(key, scalarMem)
+		sv, sf, sc, sa := refSearchKV(scalarTree, key, scalarMem)
 		bv, bf, bc, ba := batchTree.SearchKVBatch(key, batchMem, &b)
 		if sv != bv || sf != bf || sc != bc || sa != ba {
 			t.Fatalf("key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
@@ -517,7 +525,7 @@ func TestSearchKVBatchMatchesScalar(t *testing.T) {
 
 // TestRangeScanBatchMatchesScalar pins the batched range scan — visit
 // order, visited keys, cost, and access count — against the scalar
-// walk, with ranges long enough to cross the mid-scan flush threshold.
+// reference walk, with ranges long enough to cross the mid-scan flush threshold.
 func TestRangeScanBatchMatchesScalar(t *testing.T) {
 	scalarTree, _ := New(8)
 	batchTree, _ := New(8)
@@ -536,7 +544,7 @@ func TestRangeScanBatchMatchesScalar(t *testing.T) {
 	var b memmodel.Batcher
 	for _, r := range [][2]uint64{{0, 99999}, {12345, 54321}, {7, 7}, {90, 10}} {
 		var scalarKeys, batchKeys []uint64
-		sc, sa := scalarTree.RangeScan(r[0], r[1], scalarMem, func(k uint64) {
+		sc, sa := refRangeScan(scalarTree, r[0], r[1], scalarMem, func(k uint64) {
 			scalarKeys = append(scalarKeys, k)
 		})
 		bc, ba := batchTree.RangeScanBatch(r[0], r[1], batchMem, &b, func(k uint64) {
@@ -582,4 +590,123 @@ func TestSearchBatchZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("batched search: %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// access1 prices one read as a batch of one.
+func access1(mem memmodel.Accessor, a uint64) params.Duration {
+	return mem.AccessBatch([]memmodel.AccessOp{{Addr: a}})
+}
+
+// refSearch is the scalar reference walk SearchBatch is checked against:
+// the same search, pricing each access as it is made.
+func refSearch(t *Tree, key uint64, mem memmodel.Accessor) (found bool, cost params.Duration, accesses uint64) {
+	n := t.root
+	for n != nil {
+		// Read the node header (key count, flags).
+		cost += access1(mem, n.base)
+		accesses++
+		// Binary search over the key array; each probe is one read.
+		lo, hi := 0, len(n.keys)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			cost += access1(mem, entryAddr(n, mid))
+			accesses++
+			switch {
+			case n.keys[mid] == key:
+				return true, cost, accesses
+			case n.keys[mid] < key:
+				lo = mid + 1
+			default:
+				hi = mid
+			}
+		}
+		if n.leaf() {
+			return false, cost, accesses
+		}
+		// Read the child pointer and descend.
+		cost += access1(mem, childPtrAddr(n, lo))
+		accesses++
+		n = n.children[lo]
+	}
+	return false, cost, accesses
+}
+
+// refSearchKV is the scalar reference walk for SearchKVBatch.
+func refSearchKV(t *Tree, key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
+	n := t.root
+	for n != nil {
+		cost += access1(mem, n.base)
+		accesses++
+		lo, hi := 0, len(n.keys)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			cost += access1(mem, entryAddr(n, mid))
+			accesses++
+			switch {
+			case n.keys[mid] == key:
+				cost += access1(mem, entryAddr(n, mid)+16) // payload slot
+				accesses++
+				return n.vals[mid], true, cost, accesses
+			case n.keys[mid] < key:
+				lo = mid + 1
+			default:
+				hi = mid
+			}
+		}
+		if n.leaf() {
+			return 0, false, cost, accesses
+		}
+		cost += access1(mem, childPtrAddr(n, lo))
+		accesses++
+		n = n.children[lo]
+	}
+	return 0, false, cost, accesses
+}
+
+// refRangeScan is the scalar reference walk for RangeScanBatch.
+func refRangeScan(t *Tree, lo, hi uint64, mem memmodel.Accessor, fn func(uint64)) (cost params.Duration, accesses uint64) {
+	if lo > hi {
+		return 0, 0
+	}
+	var rec func(n *node)
+	rec = func(n *node) {
+		if n == nil {
+			return
+		}
+		cost += access1(mem, n.base) // header
+		accesses++
+		// Find the first key >= lo by binary search (charged).
+		start, hiIdx := 0, len(n.keys)
+		for start < hiIdx {
+			mid := (start + hiIdx) / 2
+			cost += access1(mem, entryAddr(n, mid))
+			accesses++
+			if n.keys[mid] < lo {
+				start = mid + 1
+			} else {
+				hiIdx = mid
+			}
+		}
+		for i := start; ; i++ {
+			if !n.leaf() {
+				cost += access1(mem, childPtrAddr(n, i))
+				accesses++
+				rec(n.children[i])
+			}
+			if i >= len(n.keys) {
+				return
+			}
+			cost += access1(mem, entryAddr(n, i))
+			accesses++
+			k := n.keys[i]
+			if k > hi {
+				return
+			}
+			if k >= lo {
+				fn(k)
+			}
+		}
+	}
+	rec(t.root)
+	return cost, accesses
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/memdir"
+	"repro/internal/memmodel"
 	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -529,14 +530,17 @@ func TestRegionAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Params()
+	price := func(va vm.Virt) params.Duration {
+		return acc.AccessBatch([]memmodel.AccessOp{{Addr: uint64(va)}})
+	}
 	heapPtr, _ := r.Malloc(64) // inside the local arena
-	if got := acc.Access(uint64(heapPtr), false); got != p.DRAMLatency {
+	if got := price(heapPtr); got != p.DRAMLatency {
 		t.Errorf("local arena priced %d", got)
 	}
-	if got := acc.Access(uint64(vaNear), false); got != p.RemoteRoundTrip(1) {
+	if got := price(vaNear); got != p.RemoteRoundTrip(1) {
 		t.Errorf("1-hop borrow priced %d, want %d", got, p.RemoteRoundTrip(1))
 	}
-	if got := acc.Access(uint64(vaFar), false); got != p.RemoteRoundTrip(6) {
+	if got := price(vaFar); got != p.RemoteRoundTrip(6) {
 		t.Errorf("6-hop borrow priced %d, want %d", got, p.RemoteRoundTrip(6))
 	}
 	if acc.Unmapped != 0 {

@@ -146,7 +146,7 @@ func (t *Table) Get(key uint64, acc memmodel.Accessor) (value []byte, found bool
 
 // readRow loads a length-prefixed row, charging one access per word.
 // The accesses — length prefix, then each payload word in order — are
-// batched and priced in one memmodel.Batch call.
+// batched and priced in one AccessBatch call.
 func (t *Table) readRow(ptr vm.Virt, acc memmodel.Accessor) ([]byte, params.Duration, error) {
 	t.batch.Read(uint64(ptr))
 	n, err := t.region.ReadUint64(ptr)

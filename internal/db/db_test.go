@@ -3,12 +3,14 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/memmodel"
 	"repro/internal/params"
+	"repro/internal/swap"
 )
 
 func newTable(t *testing.T) (*Table, *core.System) {
@@ -299,6 +301,7 @@ func TestHashIndexBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := freeAcc()
+	var b memmodel.Batcher
 	for k := uint64(0); k < 100; k++ {
 		h.Insert(k, k*7)
 	}
@@ -306,15 +309,15 @@ func TestHashIndexBasics(t *testing.T) {
 		t.Errorf("Size = %d", h.Size)
 	}
 	for k := uint64(0); k < 100; k++ {
-		v, found, cost, accs := h.Search(k, acc)
+		v, found, cost, accs := h.SearchBatch(k, acc, &b)
 		if !found || v != k*7 {
-			t.Fatalf("Search(%d) = %d, %v", k, v, found)
+			t.Fatalf("SearchBatch(%d) = %d, %v", k, v, found)
 		}
 		if cost <= 0 || accs == 0 {
 			t.Error("search charged nothing")
 		}
 	}
-	if _, found, _, _ := h.Search(999, acc); found {
+	if _, found, _, _ := h.SearchBatch(999, acc, &b); found {
 		t.Error("phantom key found")
 	}
 	// Update in place.
@@ -397,14 +400,82 @@ func TestFootnote3HashVsBtree(t *testing.T) {
 		bt.Index().InsertKV(k*2, k)
 	}
 	remote := memmodel.Remote{P: p, Hops: 1}
+	var b memmodel.Batcher
 	var hCost, bCost params.Duration
 	for k := uint64(0); k < keys; k += 97 {
-		_, _, c, _ := h.Search(k*2, remote)
+		_, _, c, _ := h.SearchBatch(k*2, remote, &b)
 		hCost += c
-		_, _, c2, _ := bt.Index().SearchKV(k*2, remote)
+		_, _, c2, _ := bt.Index().SearchKVBatch(k*2, remote, &b)
 		bCost += c2
 	}
 	if float64(bCost)/float64(hCost) < 4 {
 		t.Errorf("hash advantage in remote memory only %.1fx, footnote 3 promises much more", float64(bCost)/float64(hCost))
+	}
+}
+
+// TestHashSearchBatchMatchesScalar drives the scalar reference walk and
+// the batched search over identical indexes and stateful swap
+// accessors: values, found flags, costs, access counts, probe
+// statistics, and the accessors' fault time must all match.
+func TestHashSearchBatchMatchesScalar(t *testing.T) {
+	p := params.Default()
+	newSwap := func() *memmodel.Swap {
+		sw, err := memmodel.NewSwap(p, swap.RemoteDevice{P: p, Hops: 1}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	scalarIdx, err := NewHashIndex(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchIdx, _ := NewHashIndex(64)
+	for k := uint64(0); k < 20000; k++ {
+		scalarIdx.Insert(k*3, k+1)
+		batchIdx.Insert(k*3, k+1)
+	}
+	scalarMem, batchMem := newSwap(), newSwap()
+	var b memmodel.Batcher
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		key := uint64(rng.Intn(70000))
+		sv, sf, sc, sa := refHashSearch(scalarIdx, key, scalarMem)
+		bv, bf, bc, ba := batchIdx.SearchBatch(key, batchMem, &b)
+		if sv != bv || sf != bf || sc != bc || sa != ba {
+			t.Fatalf("key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
+				key, sv, sf, sc, sa, bv, bf, bc, ba)
+		}
+		if b.Len() != 0 {
+			t.Fatal("Batcher not empty after SearchBatch")
+		}
+	}
+	if scalarIdx.Lookups != batchIdx.Lookups || scalarIdx.Probes != batchIdx.Probes {
+		t.Errorf("probe statistics diverged: scalar %d/%d, batch %d/%d",
+			scalarIdx.Lookups, scalarIdx.Probes, batchIdx.Lookups, batchIdx.Probes)
+	}
+	if scalarMem.FaultTime != batchMem.FaultTime {
+		t.Errorf("fault time diverged: %d vs %d", scalarMem.FaultTime, batchMem.FaultTime)
+	}
+}
+
+// refHashSearch is the scalar reference walk SearchBatch is checked
+// against: the same probe sequence, each bucket read priced as a batch
+// of one as it is made.
+func refHashSearch(h *HashIndex, key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
+	h.Lookups++
+	i := splitmix64(key) & h.mask
+	for {
+		cost += mem.AccessBatch([]memmodel.AccessOp{{Addr: h.bucketAddr(i)}})
+		accesses++
+		h.Probes++
+		b := h.buckets[i]
+		if !b.live {
+			return 0, false, cost, accesses
+		}
+		if b.key == key {
+			return b.val, true, cost, accesses
+		}
+		i = (i + 1) & h.mask
 	}
 }

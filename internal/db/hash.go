@@ -98,31 +98,11 @@ func (h *HashIndex) grow() {
 	}
 }
 
-// Search looks a key up, charging one read per probed bucket to mem.
-// Linear probing keeps consecutive probes on the same page, so even the
-// swap configuration usually pays for one page per lookup.
-func (h *HashIndex) Search(key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	h.Lookups++
-	i := splitmix64(key) & h.mask
-	for {
-		cost += mem.Access(h.bucketAddr(i), false)
-		accesses++
-		h.Probes++
-		b := h.buckets[i]
-		if !b.live {
-			return 0, false, cost, accesses
-		}
-		if b.key == key {
-			return b.val, true, cost, accesses
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-// SearchBatch is Search pricing through the batched access engine: the
-// probe sequence is recorded into b and priced in one memmodel.Batch
-// call, with identical results and probe statistics. b must be empty
-// between calls.
+// SearchBatch looks a key up, charging one read per probed bucket to
+// mem. Linear probing keeps consecutive probes on the same page, so even
+// the swap configuration usually pays for one page per lookup. The probe
+// sequence is recorded into b and priced in one AccessBatch call; b must
+// be empty between calls.
 func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
 	h.Lookups++
 	i := splitmix64(key) & h.mask
@@ -142,7 +122,7 @@ func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.B
 	}
 }
 
-// Lookup is Search without an accessor (function only).
+// Lookup is SearchBatch without an accessor (function only).
 func (h *HashIndex) Lookup(key uint64) (uint64, bool) {
 	i := splitmix64(key) & h.mask
 	for {

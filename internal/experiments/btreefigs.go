@@ -255,8 +255,8 @@ func Equations(o Options) (*stats.Figure, error) {
 				ops = append(ops, memmodel.AccessOp{Addr: uint64(pg)*params.PageSize + uint64(j*8)})
 			}
 		}
-		pt.meas1 = memmodel.Batch(sw, ops)
-		pt.meas2 = memmodel.Batch(rm, ops)
+		pt.meas1 = sw.AccessBatch(ops)
+		pt.meas2 = rm.AccessBatch(ops)
 		in := anInputs(o, total, float64(perPage))
 		if pt.pred1, err = in.RemoteSwapTime(); err != nil {
 			return eqPoint{}, err

@@ -47,7 +47,7 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 		}},
 	}
 	keySpace := int64(nKeys) * 4
-	// The tree is read-only under Search and safe to share; HashIndex
+	// The tree is read-only under SearchBatch and safe to share; HashIndex
 	// mutates its probe counters on every lookup, so each task populates
 	// its own and the counters are summed after the merge. The sum over
 	// the three identical sweeps equals the serial accumulation, so the

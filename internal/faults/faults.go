@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,7 +103,7 @@ func (p *Plan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", p.Drop}, {"corrupt", p.Corrupt}, {"delayp", p.Delay}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -225,7 +226,10 @@ func (p *Plan) String() string {
 		if a.To != b.To {
 			return a.To < b.To
 		}
-		return a.Start < b.Start
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.End < b.End
 	})
 	for _, lw := range downs {
 		parts = append(parts, fmt.Sprintf("down=%d-%d@%s:%s",
@@ -237,7 +241,10 @@ func (p *Plan) String() string {
 			if set[i].Node != set[j].Node {
 				return set[i].Node < set[j].Node
 			}
-			return set[i].Start < set[j].Start
+			if set[i].Start != set[j].Start {
+				return set[i].Start < set[j].Start
+			}
+			return set[i].End < set[j].End
 		})
 		for _, nw := range set {
 			parts = append(parts, fmt.Sprintf("%s=%d@%s:%s",
@@ -352,10 +359,13 @@ func parseDuration(s string) (int64, error) {
 		}
 		num := strings.TrimSuffix(s, u.suffix)
 		v, err := strconv.ParseFloat(num, 64)
-		if err != nil || v < 0 {
+		ps := v * float64(u.ps)
+		// NaN fails both comparisons; the upper bound keeps the int64
+		// conversion exact instead of platform-defined.
+		if err != nil || !(ps >= 0 && ps < math.MaxInt64) {
 			return 0, fmt.Errorf("invalid duration %q", s)
 		}
-		return int64(v * float64(u.ps)), nil
+		return int64(ps), nil
 	}
 	return 0, fmt.Errorf("duration %q needs a unit (ps/ns/us/ms/s)", s)
 }

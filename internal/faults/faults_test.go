@@ -42,6 +42,12 @@ func TestStringCanonicalOrder(t *testing.T) {
 	if a.String() != b.String() {
 		t.Errorf("order-dependent rendering:\n%s\n%s", a, b)
 	}
+	// Windows that share a start render in end order.
+	a = mustParse(t, "storm=6@0:5us,storm=6@0:3us,down=6-7@0:9us,down=6-7@0:2us")
+	b = mustParse(t, "storm=6@0:3us,storm=6@0:5us,down=6-7@0:2us,down=6-7@0:9us")
+	if a.String() != b.String() {
+		t.Errorf("order-dependent rendering of same-start windows:\n%s\n%s", a, b)
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -60,6 +66,12 @@ func TestParseErrors(t *testing.T) {
 		"storm=6@1us",      // window missing :end
 		"stall=x@0:1us",    // non-numeric node
 		"seed=abc",         // non-numeric seed
+		"drop=NaN",         // non-finite probabilities
+		"corrupt=NaN",
+		"delayp=NaN,delay=300ns",
+		"drop=Inf",
+		"delayp=0.5,delay=NaNns", // non-finite and overflowing durations
+		"down=6-7@0:1e300s",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)

@@ -79,7 +79,7 @@ func TestMicroMacroAgreement(t *testing.T) {
 		micro := th.Latency.Mean()
 
 		// Macro: Equation (2) at the same distance.
-		macro := float64(memmodel.Remote{P: p, Hops: hops}.Access(0, false))
+		macro := float64(memmodel.Remote{P: p, Hops: hops}.AccessBatch([]memmodel.AccessOp{{}}))
 
 		if diff := math.Abs(micro-macro) / macro; diff > 0.15 {
 			t.Errorf("hops=%d: micro %.0f ps vs macro %.0f ps (%.0f%% apart)",

@@ -2,17 +2,16 @@ package memmodel
 
 import "repro/internal/params"
 
-// This file is the batched access engine: the macro layer's fast path.
-// Scalar Access prices one access per virtual call; at paper scale the
+// Batches are the macro layer's only pricing path. At paper scale the
 // hot producers (b-tree searches, PARSEC-class kernels, database
-// queries) make hundreds of millions of them, and interface dispatch
-// plus per-access bookkeeping dominates the run. AccessBatch prices a
-// whole op sequence in one tight loop over the concrete model types —
-// the common compositions (LineCached→Striped, Swap over its page
-// cache) never make an interface call per access — while producing
-// exactly the per-op costs, accessor state, and counter updates the
-// scalar path would. The scalar-vs-batched oracle tests pin that
-// equivalence.
+// queries) make hundreds of millions of accesses; pricing them one
+// virtual call at a time lets interface dispatch and per-access
+// bookkeeping dominate the run. Accessor.AccessBatch prices a whole op
+// sequence in one tight loop over the concrete model type, and the
+// common compositions (LineCached→Striped, Swap over its page cache)
+// never make an interface call per access. The scalar reference model
+// in batch_test.go is the oracle the batched models are checked
+// against.
 
 // AccessOp is one access in a batch.
 type AccessOp struct {
@@ -22,196 +21,11 @@ type AccessOp struct {
 	Write bool
 }
 
-// BatchAccessor is implemented by accessors that price a whole batch in
-// one call. All model types in this package implement it; foreign
-// accessors fall back to per-op scalar pricing in Batch.
-type BatchAccessor interface {
-	Accessor
-	// AccessBatch prices ops in order and returns their total cost,
-	// updating the accessor's state exactly as len(ops) scalar Access
-	// calls would.
-	AccessBatch(ops []AccessOp) params.Duration
-}
-
-// Batch prices ops through acc, devirtualizing the known model types so
-// the dispatch happens once per batch instead of once per access.
-// Unknown accessors that implement BatchAccessor get one interface call
-// per batch; anything else is priced per op, so Batch is always safe.
-func Batch(acc Accessor, ops []AccessOp) params.Duration {
-	switch a := acc.(type) {
-	case Local:
-		return a.AccessBatch(ops)
-	case Remote:
-		return a.AccessBatch(ops)
-	case *Swap:
-		return a.AccessBatch(ops)
-	case *Striped:
-		return a.AccessBatch(ops)
-	case *LineCached:
-		return a.AccessBatch(ops)
-	case *Meter:
-		return a.AccessBatch(ops)
-	case BatchAccessor:
-		return a.AccessBatch(ops)
-	default:
-		var total params.Duration
-		for _, op := range ops {
-			total += acc.Access(op.Addr, op.Write)
-		}
-		return total
-	}
-}
-
-// AccessBatch implements BatchAccessor: every local access costs the
-// same constant, so the batch is one multiplication.
-func (l Local) AccessBatch(ops []AccessOp) params.Duration {
-	return params.Duration(len(ops)) * l.P.DRAMLatency
-}
-
-// AccessBatch implements BatchAccessor: Equation (2) prices every
-// access at the constant line round trip, so the batch is one
-// multiplication — the degenerate (and fastest) case of batching.
-func (r Remote) AccessBatch(ops []AccessOp) params.Duration {
-	return params.Duration(len(ops)) * r.P.RemoteRoundTrip(r.Hops)
-}
-
-// AccessBatch implements BatchAccessor: one tight loop over the page
-// cache with the device costs precomputed, no interface calls.
-func (s *Swap) AccessBatch(ops []AccessOp) params.Duration {
-	dram := s.p.DRAMLatency
-	fault, wb := s.faultCost, s.wbCost
-	cache := s.cache
-	var total, faultTime params.Duration
-	for _, op := range ops {
-		res := cache.Touch(op.Addr/params.PageSize, op.Write)
-		if res.Hit {
-			total += dram
-			continue
-		}
-		cost := fault
-		if res.EvictedDirty {
-			cost += wb
-		}
-		faultTime += cost
-		total += cost + dram
-	}
-	s.FaultTime += faultTime
-	return total
-}
-
-// AccessBatch implements BatchAccessor. Constant-latency stripes are
-// priced from the cached per-stripe cost; only stateful stripes go
-// through their Accessor.
-func (s *Striped) AccessBatch(ops []AccessOp) params.Duration {
-	var total params.Duration
-	for _, op := range ops {
-		total += s.access1(op.Addr, op.Write)
-	}
-	return total
-}
-
-// AccessBatch implements BatchAccessor. The inner accessor's type is
-// resolved once per batch; misses then fill (and dirty victims write
-// back) through concrete calls, so the LineCached→Striped and
-// LineCached→Swap compositions price whole batches with no per-access
-// interface dispatch.
-func (c *LineCached) AccessBatch(ops []AccessOp) params.Duration {
-	l1 := c.p.L1Latency
-	lines := c.lines
-	var total params.Duration
-	var fills uint64
-	switch in := c.inner.(type) {
-	case Local:
-		fill := in.P.DRAMLatency
-		for _, op := range ops {
-			res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
-			if res.Hit {
-				total += l1
-				continue
-			}
-			fills++
-			cost := l1 + fill
-			if res.EvictedDirty {
-				cost += fill
-			}
-			total += cost
-		}
-	case Remote:
-		fill := in.P.RemoteRoundTrip(in.Hops)
-		for _, op := range ops {
-			res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
-			if res.Hit {
-				total += l1
-				continue
-			}
-			fills++
-			cost := l1 + fill
-			if res.EvictedDirty {
-				cost += fill
-			}
-			total += cost
-		}
-	case *Striped:
-		for _, op := range ops {
-			res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
-			if res.Hit {
-				total += l1
-				continue
-			}
-			fills++
-			cost := l1 + in.access1(op.Addr, false)
-			if res.EvictedDirty {
-				cost += in.access1(res.Evicted*params.CacheLineSize, true)
-			}
-			total += cost
-		}
-	case *Swap:
-		for _, op := range ops {
-			res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
-			if res.Hit {
-				total += l1
-				continue
-			}
-			fills++
-			cost := l1 + in.access1(op.Addr, false)
-			if res.EvictedDirty {
-				cost += in.access1(res.Evicted*params.CacheLineSize, true)
-			}
-			total += cost
-		}
-	default:
-		for _, op := range ops {
-			res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
-			if res.Hit {
-				total += l1
-				continue
-			}
-			fills++
-			cost := l1 + c.inner.Access(op.Addr, false)
-			if res.EvictedDirty {
-				cost += c.inner.Access(res.Evicted*params.CacheLineSize, true)
-			}
-			total += cost
-		}
-	}
-	c.Fills += fills
-	return total
-}
-
-// AccessBatch implements BatchAccessor: the wrapped accessor prices the
-// batch, and the meter accumulates once.
-func (m *Meter) AccessBatch(ops []AccessOp) params.Duration {
-	d := Batch(m.Acc, ops)
-	m.Accesses += uint64(len(ops))
-	m.Time += d
-	return d
-}
-
 // Batcher accumulates the accesses of one logical unit of work — a
 // b-tree node visit, a range-scan segment, a kernel pass — and prices
-// them in one Batch call. The zero value is ready to use; the op buffer
-// is retained across Flush calls, so a reused Batcher's steady state
-// allocates nothing. A Batcher must not be shared between goroutines;
+// them in one AccessBatch call. The zero value is ready to use; the op
+// buffer is retained across Flush calls, so a reused Batcher's steady
+// state allocates nothing. A Batcher must not be shared between goroutines;
 // sharded sweeps give every shard its own.
 type Batcher struct {
 	ops []AccessOp
@@ -247,7 +61,7 @@ func (b *Batcher) Flush(acc Accessor) params.Duration {
 	if len(b.ops) == 0 {
 		return 0
 	}
-	d := Batch(acc, b.ops)
+	d := acc.AccessBatch(b.ops)
 	b.ops = b.ops[:0]
 	return d
 }

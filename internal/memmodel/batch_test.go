@@ -51,8 +51,8 @@ func makeStack(t *testing.T, p params.Params, kind string) Accessor {
 	case "striped":
 		return mkStriped()
 	case "striped-stateful":
-		// A stripe backed by a stateful accessor exercises the dynamic
-		// (non-const-cost) path inside Striped.
+		// A stripe backed by a stateful accessor exercises the one-op
+		// sub-slice path inside Striped.
 		s, err := NewStriped(p, []Stripe{
 			{Start: 0, Size: 1 << 20, Acc: NewMeter(Local{P: p})},
 			{Start: 1 << 20, Size: 1 << 20, Acc: mkSwap(swap.RemoteDevice{P: p, Hops: 2})},
@@ -70,7 +70,7 @@ func makeStack(t *testing.T, p params.Params, kind string) Accessor {
 	case "cached-swap":
 		return mkCached(mkSwap(swap.RemoteDevice{P: p, Hops: 1}))
 	case "cached-meter":
-		// A Meter inner takes LineCached's default (interface) inner path.
+		// A Meter inner composes through the Accessor interface alone.
 		return mkCached(NewMeter(Remote{P: p, Hops: 1}))
 	case "meter-cached-striped":
 		return NewMeter(mkCached(mkStriped()))
@@ -91,7 +91,7 @@ var oracleStacks = []string{
 }
 
 // stateSig fingerprints every piece of observable accessor state the
-// batch path must keep identical to the scalar path: meters, fill and
+// batch path must keep identical to the scalar reference model: meters, fill and
 // fault counters, cache hit/miss/eviction statistics, residency.
 func stateSig(acc Accessor) string {
 	switch a := acc.(type) {
@@ -139,11 +139,85 @@ func opStream(seed int64, n int) []AccessOp {
 	return ops
 }
 
-// TestScalarBatchOracle is the tentpole's correctness contract: for
-// every accessor composition, a random access stream priced through
-// Access one op at a time and through AccessBatch in arbitrary chunks
-// produces the identical total cost, identical per-chunk subtotals, and
-// identical accessor/meter state.
+// access1 prices one access as a batch of one.
+func access1(acc Accessor, a uint64, write bool) params.Duration {
+	return acc.AccessBatch([]AccessOp{{Addr: a, Write: write}})
+}
+
+// refAccess is the scalar reference model: each model type's pricing of
+// one access, written directly against its state, one access at a time.
+// It is the oracle AccessBatch is checked against and is never called
+// outside tests.
+func refAccess(acc Accessor, a uint64, write bool) params.Duration {
+	switch m := acc.(type) {
+	case Local:
+		return m.P.DRAMLatency
+	case Remote:
+		return m.P.RemoteRoundTrip(m.Hops)
+	case *Swap:
+		res := m.cache.Touch(a/params.PageSize, write)
+		if res.Hit {
+			return m.p.DRAMLatency
+		}
+		cost := m.faultCost
+		if res.EvictedDirty {
+			cost += m.wbCost
+		}
+		m.FaultTime += cost
+		return cost + m.p.DRAMLatency
+	case *Striped:
+		i := m.find(a)
+		if i < 0 {
+			m.Unmapped++
+			return m.fallback
+		}
+		return refAccess(m.stripes[i].Acc, a, write)
+	case *LineCached:
+		res := m.lines.Touch(a/params.CacheLineSize, write)
+		if res.Hit {
+			return m.p.L1Latency
+		}
+		m.Fills++
+		cost := m.p.L1Latency + refAccess(m.inner, a, false) // line fill
+		if res.EvictedDirty {
+			cost += refAccess(m.inner, res.Evicted*params.CacheLineSize, true)
+		}
+		return cost
+	case *Meter:
+		d := refAccess(m.Acc, a, write)
+		m.Accesses++
+		m.Time += d
+		return d
+	default:
+		panic(fmt.Sprintf("refAccess: unknown accessor %T", acc))
+	}
+}
+
+// refFlush is LineCached.Flush under the reference model: each dirty
+// line, MRU first, written back by one scalar access.
+func refFlush(c *LineCached) (dirty int, cost params.Duration) {
+	dirty = c.lines.FlushDirty(func(line uint64) {
+		cost += refAccess(c.inner, line*params.CacheLineSize, true)
+	})
+	return dirty, cost
+}
+
+// cachedOf returns the line cache at the top of a stack, looking
+// through a Meter, or nil.
+func cachedOf(acc Accessor) *LineCached {
+	if m, ok := acc.(*Meter); ok {
+		acc = m.Acc
+	}
+	c, _ := acc.(*LineCached)
+	return c
+}
+
+// TestScalarBatchOracle is the batched models' correctness contract:
+// for every accessor composition, a random access stream priced one op
+// at a time by the scalar reference model and through AccessBatch in
+// arbitrary chunks produces the identical total cost, identical
+// per-chunk subtotals, and identical accessor/meter state — and, for
+// line-cached stacks, an identical Flush.
 func TestScalarBatchOracle(t *testing.T) {
 	p := params.Default()
 	for _, kind := range oracleStacks {
@@ -163,9 +237,9 @@ func TestScalarBatchOracle(t *testing.T) {
 					chunk := ops[lo:hi]
 					var scalarChunk params.Duration
 					for _, op := range chunk {
-						scalarChunk += scalar.Access(op.Addr, op.Write)
+						scalarChunk += refAccess(scalar, op.Addr, op.Write)
 					}
-					batchChunk := Batch(batched, chunk)
+					batchChunk := batched.AccessBatch(chunk)
 					if scalarChunk != batchChunk {
 						t.Fatalf("seed %d chunk [%d:%d): scalar %d != batch %d", seed, lo, hi, scalarChunk, batchChunk)
 					}
@@ -178,6 +252,16 @@ func TestScalarBatchOracle(t *testing.T) {
 				}
 				if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
 					t.Fatalf("seed %d: state diverged:\nscalar: %s\nbatch:  %s", seed, ss, bs)
+				}
+				if c := cachedOf(batched); c != nil {
+					sd, sc := refFlush(cachedOf(scalar))
+					bd, bc := c.Flush()
+					if sd != bd || sc != bc {
+						t.Fatalf("seed %d: flush diverged: scalar %d lines %d, batch %d lines %d", seed, sd, sc, bd, bc)
+					}
+					if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
+						t.Fatalf("seed %d: state diverged after flush:\nscalar: %s\nbatch:  %s", seed, ss, bs)
+					}
 				}
 			}
 		})
@@ -230,7 +314,7 @@ func TestLineCachedFlushChargesRealAddresses(t *testing.T) {
 	}
 	const base = 1 << 20
 	for i := uint64(0); i < 4; i++ {
-		c.Access(base+i*params.CacheLineSize, true)
+		access1(c, base+i*params.CacheLineSize, true)
 	}
 	fills := high.Accesses
 	dirty, cost := c.Flush()
@@ -266,8 +350,8 @@ func TestLineCachedEvictionWritebackAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(64, true)   // fill line 1 via high, dirty
-	c.Access(128, false) // evicts dirty line 1 → writeback must hit high
+	access1(c, 64, true)   // fill line 1 via high, dirty
+	access1(c, 128, false) // evicts dirty line 1 → writeback must hit high
 	if low.Accesses != 0 {
 		t.Errorf("stripe at address 0 charged %d accesses by an eviction of line 1", low.Accesses)
 	}
@@ -289,10 +373,10 @@ func TestBatchedPricingLoopAllocs(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			acc := makeStack(t, p, kind)
 			ops := opStream(11, 2048)
-			Batch(acc, ops) // warm caches and map internals
+			acc.AccessBatch(ops) // warm caches and map internals
 			var sink params.Duration
 			allocs := testing.AllocsPerRun(50, func() {
-				sink += Batch(acc, ops)
+				sink += acc.AccessBatch(ops)
 			})
 			if allocs != 0 {
 				t.Errorf("batched pricing loop: %.1f allocs/op, want 0", allocs)

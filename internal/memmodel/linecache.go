@@ -17,6 +17,9 @@ type LineCached struct {
 	inner Accessor
 	lines *swap.PageCache // reused as a line-granule LRU
 	p     params.Params
+	// misses is the retained scratch buffer of fill and writeback ops a
+	// batch sends to inner, so steady-state pricing allocates nothing.
+	misses []AccessOp
 
 	// Fills counts line fills from the backing memory.
 	Fills uint64
@@ -37,19 +40,29 @@ func NewLineCached(inner Accessor, p params.Params, lines int) (*LineCached, err
 	return &LineCached{inner: inner, lines: c, p: p}, nil
 }
 
-// Access implements Accessor: hits cost the cache latency; misses fill
-// the line from the backing memory, and dirty victims write back to it.
-func (c *LineCached) Access(a uint64, write bool) params.Duration {
-	res := c.lines.Touch(a/params.CacheLineSize, write)
-	if res.Hit {
-		return c.p.L1Latency
+// AccessBatch implements Accessor: hits cost the cache latency; each
+// miss also fills its line from the backing memory, and a dirty victim
+// writes back to it. Every miss appends its fill op, then its victim's
+// writeback op, to one buffer that inner prices in a single call. The
+// line cache's state never depends on inner's, so inner sees exactly
+// the op sequence per-access pricing would give it.
+func (c *LineCached) AccessBatch(ops []AccessOp) params.Duration {
+	lines, misses := c.lines, c.misses[:0]
+	var fills uint64
+	for _, op := range ops {
+		res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
+		if res.Hit {
+			continue
+		}
+		fills++
+		misses = append(misses, AccessOp{Addr: op.Addr})
+		if res.EvictedDirty {
+			misses = append(misses, AccessOp{Addr: res.Evicted * params.CacheLineSize, Write: true})
+		}
 	}
-	c.Fills++
-	cost := c.p.L1Latency + c.inner.Access(a, false) // line fill
-	if res.EvictedDirty {
-		cost += c.inner.Access(res.Evicted*params.CacheLineSize, true)
-	}
-	return cost
+	c.Fills += fills
+	c.misses = misses
+	return params.Duration(len(ops))*c.p.L1Latency + c.inner.AccessBatch(misses)
 }
 
 // Name implements Accessor.
@@ -72,8 +85,10 @@ func (c *LineCached) HitRate() float64 {
 // writeback must land on the stripe or page that actually holds the
 // line, not at address 0.
 func (c *LineCached) Flush() (dirty int, cost params.Duration) {
+	wbs := c.misses[:0]
 	dirty = c.lines.FlushDirty(func(line uint64) {
-		cost += c.inner.Access(line*params.CacheLineSize, true)
+		wbs = append(wbs, AccessOp{Addr: line * params.CacheLineSize, Write: true})
 	})
-	return dirty, cost
+	c.misses = wbs
+	return dirty, c.inner.AccessBatch(wbs)
 }

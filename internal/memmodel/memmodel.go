@@ -16,10 +16,12 @@ import (
 	"repro/internal/swap"
 )
 
-// Accessor prices one memory access.
+// Accessor prices memory accesses. Batches are the only pricing path:
+// a single access is a batch of one.
 type Accessor interface {
-	// Access returns the cost of one access at byte address a.
-	Access(a uint64, write bool) params.Duration
+	// AccessBatch prices ops in order, updating the accessor's state,
+	// and returns their total cost.
+	AccessBatch(ops []AccessOp) params.Duration
 	// Name identifies the configuration in figures.
 	Name() string
 }
@@ -31,8 +33,11 @@ type Local struct {
 	P params.Params
 }
 
-// Access implements Accessor.
-func (l Local) Access(uint64, bool) params.Duration { return l.P.DRAMLatency }
+// AccessBatch implements Accessor: every local access costs the same
+// constant, so the batch is one multiplication.
+func (l Local) AccessBatch(ops []AccessOp) params.Duration {
+	return params.Duration(len(ops)) * l.P.DRAMLatency
+}
 
 // Name implements Accessor.
 func (l Local) Name() string { return "local memory" }
@@ -46,8 +51,11 @@ type Remote struct {
 	Hops int
 }
 
-// Access implements Accessor.
-func (r Remote) Access(uint64, bool) params.Duration { return r.P.RemoteRoundTrip(r.Hops) }
+// AccessBatch implements Accessor: Equation (2) prices every access at
+// the constant line round trip, so the batch is one multiplication.
+func (r Remote) AccessBatch(ops []AccessOp) params.Duration {
+	return params.Duration(len(ops)) * r.P.RemoteRoundTrip(r.Hops)
+}
 
 // Name implements Accessor.
 func (r Remote) Name() string { return "remote memory" }
@@ -81,24 +89,28 @@ func NewSwap(p params.Params, dev swap.Device, residentPages int) (*Swap, error)
 	}, nil
 }
 
-// Access implements Accessor.
-func (s *Swap) Access(a uint64, write bool) params.Duration {
-	return s.access1(a, write)
-}
-
-// access1 prices one access through the concrete type — the
-// devirtualized call the batched compositions use.
-func (s *Swap) access1(a uint64, write bool) params.Duration {
-	res := s.cache.Touch(a/params.PageSize, write)
-	if res.Hit {
-		return s.p.DRAMLatency
+// AccessBatch implements Accessor: one tight loop over the page cache
+// with the device costs precomputed, no interface calls.
+func (s *Swap) AccessBatch(ops []AccessOp) params.Duration {
+	dram := s.p.DRAMLatency
+	fault, wb := s.faultCost, s.wbCost
+	cache := s.cache
+	var total, faultTime params.Duration
+	for _, op := range ops {
+		res := cache.Touch(op.Addr/params.PageSize, op.Write)
+		if res.Hit {
+			total += dram
+			continue
+		}
+		cost := fault
+		if res.EvictedDirty {
+			cost += wb
+		}
+		faultTime += cost
+		total += cost + dram
 	}
-	cost := s.faultCost
-	if res.EvictedDirty {
-		cost += s.wbCost
-	}
-	s.FaultTime += cost
-	return cost + s.p.DRAMLatency
+	s.FaultTime += faultTime
+	return total
 }
 
 // Name implements Accessor.
@@ -124,10 +136,11 @@ func NewMeter(acc Accessor) *Meter {
 	return &Meter{Acc: acc}
 }
 
-// Access forwards to the wrapped accessor and accumulates.
-func (m *Meter) Access(a uint64, write bool) params.Duration {
-	d := m.Acc.Access(a, write)
-	m.Accesses++
+// AccessBatch implements Accessor: the wrapped accessor prices the
+// batch, and the meter accumulates once.
+func (m *Meter) AccessBatch(ops []AccessOp) params.Duration {
+	d := m.Acc.AccessBatch(ops)
+	m.Accesses += uint64(len(ops))
 	m.Time += d
 	return d
 }
@@ -162,8 +175,12 @@ const (
 )
 
 // Build constructs the accessor for a standard configuration at the
-// given hop distance and residency budget.
+// given hop distance and residency budget. The hop distance must lie
+// within the mesh: 0 to its diameter, the worst case Striped charges.
 func Build(cfg Config, p params.Params, hops, residentPages int) (Accessor, error) {
+	if diameter := p.MeshWidth + p.MeshHeight - 2; hops < 0 || hops > diameter {
+		return nil, fmt.Errorf("memmodel: %d hops outside the %dx%d mesh (0..%d)", hops, p.MeshWidth, p.MeshHeight, diameter)
+	}
 	switch cfg {
 	case ConfigLocal:
 		return Local{P: p}, nil

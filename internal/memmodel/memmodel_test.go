@@ -11,14 +11,14 @@ import (
 func TestLocalAndRemoteConstants(t *testing.T) {
 	p := params.Default()
 	l := Local{P: p}
-	if l.Access(0, false) != p.DRAMLatency || l.Access(1<<40, true) != p.DRAMLatency {
+	if access1(l, 0, false) != p.DRAMLatency || access1(l, 1<<40, true) != p.DRAMLatency {
 		t.Error("local latency not constant")
 	}
 	r := Remote{P: p, Hops: 3}
-	if r.Access(12345, false) != p.RemoteRoundTrip(3) {
+	if access1(r, 12345, false) != p.RemoteRoundTrip(3) {
 		t.Error("remote latency wrong")
 	}
-	if (Remote{P: p, Hops: 1}).Access(0, false) >= r.Access(0, false) {
+	if access1(Remote{P: p, Hops: 1}, 0, false) >= access1(r, 0, false) {
 		t.Error("more hops not slower")
 	}
 	if l.Name() == "" || r.Name() == "" {
@@ -33,8 +33,8 @@ func TestSwapHitMissCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const page = params.PageSize
-	miss := s.Access(0, false)
-	hit := s.Access(8, false)
+	miss := access1(s, 0, false)
+	hit := access1(s, 8, false)
 	if hit != p.DRAMLatency {
 		t.Errorf("resident access = %d, want %d", hit, p.DRAMLatency)
 	}
@@ -43,9 +43,9 @@ func TestSwapHitMissCosts(t *testing.T) {
 		t.Errorf("fault = %d, want %d", miss, wantMiss)
 	}
 	// Dirty eviction pays a writeback.
-	s.Access(page, true)            // page 1 resident dirty
-	s.Access(2*page, false)         // page 2: evicts page 0 (clean)
-	cost := s.Access(3*page, false) // evicts page 1 (dirty)
+	access1(s, page, true)            // page 1 resident dirty
+	access1(s, 2*page, false)         // page 2: evicts page 0 (clean)
+	cost := access1(s, 3*page, false) // evicts page 1 (dirty)
 	if cost <= wantMiss {
 		t.Errorf("dirty eviction cost %d not above clean fault %d", cost, wantMiss)
 	}
@@ -62,8 +62,8 @@ func TestSwapThrashingVsFit(t *testing.T) {
 	var fitTime, thrashTime params.Duration
 	// Working set of 32 pages fits; 1024 pages thrashes.
 	for i := 0; i < 4096; i++ {
-		fitTime += fit.Access(uint64(i%32)*params.PageSize, false)
-		thrashTime += thrash.Access(uint64(i%1024)*params.PageSize, false)
+		fitTime += access1(fit, uint64(i%32)*params.PageSize, false)
+		thrashTime += access1(thrash, uint64(i%1024)*params.PageSize, false)
 	}
 	if thrashTime < 10*fitTime {
 		t.Errorf("thrashing (%d) not dramatically worse than fitting (%d)", thrashTime, fitTime)
@@ -81,7 +81,7 @@ func TestDiskSlowerThanRemoteSwap(t *testing.T) {
 	p := params.Default()
 	disk, _ := NewSwap(p, swap.DiskDevice{P: p}, 16)
 	remote, _ := NewSwap(p, swap.RemoteDevice{P: p, Hops: 1}, 16)
-	if disk.Access(0, false) <= remote.Access(0, false) {
+	if access1(disk, 0, false) <= access1(remote, 0, false) {
 		t.Error("disk fault not slower than remote-swap fault")
 	}
 }
@@ -90,7 +90,7 @@ func TestMeter(t *testing.T) {
 	p := params.Default()
 	m := NewMeter(Local{P: p})
 	for i := 0; i < 10; i++ {
-		m.Access(uint64(i), false)
+		access1(m, uint64(i), false)
 	}
 	if m.Accesses != 10 || m.Time != 10*p.DRAMLatency {
 		t.Errorf("meter = %d accesses, %d time", m.Accesses, m.Time)
@@ -115,7 +115,7 @@ func TestBuildConfigs(t *testing.T) {
 			t.Errorf("Build(%v): %v", cfg, err)
 			continue
 		}
-		if acc.Access(0, false) <= 0 {
+		if access1(acc, 0, false) <= 0 {
 			t.Errorf("%v: non-positive latency", cfg)
 		}
 		if cfg.String() == "" {
@@ -124,6 +124,15 @@ func TestBuildConfigs(t *testing.T) {
 	}
 	if _, err := Build(Config(99), p, 1, 128); err == nil {
 		t.Error("unknown config accepted")
+	}
+	diameter := p.MeshWidth + p.MeshHeight - 2
+	for _, hops := range []int{-1, -40, diameter + 1} {
+		if _, err := Build(ConfigRemote, p, hops, 128); err == nil {
+			t.Errorf("Build at %d hops accepted", hops)
+		}
+	}
+	if _, err := Build(ConfigRemoteSwap, p, diameter, 128); err != nil {
+		t.Errorf("Build at the diameter: %v", err)
 	}
 	if Config(99).String() == "" {
 		t.Error("unknown config renders empty")
@@ -139,7 +148,7 @@ func TestRemoteInsensitiveToLocalityProperty(t *testing.T) {
 	f := func(addrs []uint64) bool {
 		var total params.Duration
 		for _, a := range addrs {
-			total += r.Access(a, a%2 == 0)
+			total += access1(r, a, a%2 == 0)
 		}
 		return total == params.Duration(len(addrs))*p.RemoteRoundTrip(2)
 	}
@@ -162,7 +171,7 @@ func TestSwapMonotoneInResidencyProperty(t *testing.T) {
 			}
 			var total params.Duration
 			for _, a := range trace {
-				total += s.Access(uint64(a)*params.PageSize/4, false)
+				total += access1(s, uint64(a)*params.PageSize/4, false)
 			}
 			return total
 		}
@@ -183,20 +192,20 @@ func TestStriped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Access(500, false); got != p.DRAMLatency {
+	if got := access1(s, 500, false); got != p.DRAMLatency {
 		t.Errorf("local stripe = %d", got)
 	}
-	if got := s.Access(1999, false); got != p.RemoteRoundTrip(1) {
+	if got := access1(s, 1999, false); got != p.RemoteRoundTrip(1) {
 		t.Errorf("1-hop stripe = %d", got)
 	}
-	if got := s.Access(5000, true); got != p.RemoteRoundTrip(4) {
+	if got := access1(s, 5000, true); got != p.RemoteRoundTrip(4) {
 		t.Errorf("4-hop stripe = %d", got)
 	}
 	// Gap and beyond-the-end accesses are pessimistic and counted.
-	if got := s.Access(3000, false); got != p.RemoteRoundTrip(6) {
+	if got := access1(s, 3000, false); got != p.RemoteRoundTrip(6) {
 		t.Errorf("gap access = %d, want diameter round trip", got)
 	}
-	s.Access(99999, false)
+	access1(s, 99999, false)
 	if s.Unmapped != 2 {
 		t.Errorf("Unmapped = %d", s.Unmapped)
 	}
@@ -238,11 +247,11 @@ func TestLineCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Miss fills from the backing; hit costs L1 and touches nothing.
-	first := c.Access(0, false)
+	first := access1(c, 0, false)
 	if first <= p.RemoteRoundTrip(1) {
 		t.Errorf("fill = %d, should include the remote trip", first)
 	}
-	if got := c.Access(8, false); got != p.L1Latency {
+	if got := access1(c, 8, false); got != p.L1Latency {
 		t.Errorf("hit = %d", got)
 	}
 	if inner.Accesses != 1 {
@@ -252,21 +261,21 @@ func TestLineCached(t *testing.T) {
 		t.Errorf("HitRate = %v", c.HitRate())
 	}
 	// Dirty eviction writes back through the backing.
-	c.Access(64, true) // dirty line 1
-	c.Access(128, false)
-	c.Access(192, false)
+	access1(c, 64, true) // dirty line 1
+	access1(c, 128, false)
+	access1(c, 192, false)
 	before := inner.Accesses
-	c.Access(256, false) // evicts LRU (line 0, clean) then next evicts dirty
-	c.Access(320, false)
+	access1(c, 256, false) // evicts LRU (line 0, clean) then next evicts dirty
+	access1(c, 320, false)
 	if inner.Accesses <= before+1 {
 		t.Log("no dirty writeback observed yet (LRU order dependent)")
 	}
 	// Flush pushes remaining dirty lines back and empties the cache.
-	c.Access(384, true)
+	access1(c, 384, true)
 	if dirty, cost := c.Flush(); dirty == 0 || cost == 0 {
 		t.Error("flush found no dirty lines or charged nothing")
 	}
-	if got := c.Access(384, false); got == p.L1Latency {
+	if got := access1(c, 384, false); got == p.L1Latency {
 		t.Error("flushed line still hit")
 	}
 	if c.Name() != inner.Name() {

@@ -80,24 +80,28 @@ func (s *Striped) find(a uint64) int {
 	return -1
 }
 
-// Access implements Accessor.
-func (s *Striped) Access(a uint64, write bool) params.Duration {
-	return s.access1(a, write)
-}
-
-// access1 prices one access through the concrete type — the
-// devirtualized call the batched compositions use. Constant-latency
-// stripes are priced from the cache, skipping their interface entirely.
-func (s *Striped) access1(a uint64, write bool) params.Duration {
-	i := s.find(a)
-	if i < 0 {
-		s.Unmapped++
-		return s.fallback
+// AccessBatch implements Accessor. Constant-latency stripes are priced
+// from the cached per-stripe cost, skipping their interface entirely;
+// a stateful stripe prices its op as a one-op sub-slice of ops, so the
+// loop allocates nothing.
+func (s *Striped) AccessBatch(ops []AccessOp) params.Duration {
+	var total params.Duration
+	var unmapped uint64
+	for k, op := range ops {
+		i := s.find(op.Addr)
+		if i < 0 {
+			unmapped++
+			total += s.fallback
+			continue
+		}
+		if c := s.constCost[i]; c >= 0 {
+			total += c
+			continue
+		}
+		total += s.stripes[i].Acc.AccessBatch(ops[k : k+1])
 	}
-	if c := s.constCost[i]; c >= 0 {
-		return c
-	}
-	return s.stripes[i].Acc.Access(a, write)
+	s.Unmapped += unmapped
+	return total
 }
 
 // Name implements Accessor.

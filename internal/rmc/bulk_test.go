@@ -440,6 +440,103 @@ func TestBulkChaosWrite(t *testing.T) {
 	_ = inj
 }
 
+// TestBulkNACKPath drives bursts through the bulk plane's NACK and
+// backoff path: admissions refused by a scheduled NACK storm on the
+// issuing node, and admissions refused by a saturated (depth-1) client
+// queue. Every burst must still complete with the right bytes. Under
+// the storm, each burst's refusals are counted exactly against the
+// capped schedule — retry k waits RMCRetryPenalty << min(k, 8) — so a
+// missing or different cap changes the count.
+func TestBulkNACKPath(t *testing.T) {
+	const stormEnd = 200 * 1_000_000 // 200us in ps
+	for _, tc := range []struct {
+		name  string
+		storm bool
+		issue []sim.Time
+	}{
+		{name: "storm", storm: true, issue: []sim.Time{0, 10_000_000, 20_000_000, 30_000_000}},
+		{name: "saturation", issue: []sim.Time{0, 0, 0, 0, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r *rig
+			if tc.storm {
+				plan, err := faults.Parse("seed=1,storm=1@0:200us")
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, _ = newFaultRig(t, 4, plan)
+			} else {
+				r = newRig(t, 4)
+			}
+			want := fillPattern(t, r, 2, 0x41000000, 32*64, 0x6c)
+			sinks := make([][]byte, len(tc.issue))
+			completions := 0
+			for i, at := range tc.issue {
+				sink := make([]byte, 32*64)
+				sinks[i] = sink
+				// Issue at the engine's own clock, so retries back off
+				// from the issue time.
+				r.eng.At(at, func() {
+					if err := r.rmcs[1].RequestBulk(at, BulkRequest{
+						Kind:  BulkRead,
+						Spans: []Span{{Start: addr.Phys(0x41000000).WithNode(2), Lines: 32}},
+						Data:  sink,
+						Done: func(ts sim.Time, err error) {
+							if err != nil {
+								t.Errorf("NACKed burst failed: %v", err)
+								return
+							}
+							if tc.storm && ts < stormEnd {
+								t.Errorf("burst completed at %d, inside the storm ending %d", ts, stormEnd)
+							}
+							completions++
+						},
+					}); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			r.eng.Run()
+			if completions != len(tc.issue) {
+				t.Fatalf("%d of %d bursts completed", completions, len(tc.issue))
+			}
+			for i, sink := range sinks {
+				if !bytes.Equal(sink, want) {
+					t.Errorf("burst %d gathered wrong data after NACKs", i)
+				}
+			}
+			m := r.rmcs[1]
+			if m.Retries == 0 {
+				t.Error("no burst was NACKed; the backoff path did not run")
+			}
+			if !tc.storm {
+				if m.StormNACKs != 0 {
+					t.Errorf("%d storm NACKs without a storm", m.StormNACKs)
+				}
+				return
+			}
+			var wantStorm uint64
+			for _, at := range tc.issue {
+				refusals := 0
+				for tk, k := at, uint(0); tk < stormEnd; k++ {
+					refusals++
+					tk += r.p.RMCRetryPenalty << min(k, 8)
+				}
+				if refusals <= 9 {
+					t.Fatalf("burst issued at %d is refused only %d times; the cap is never reached", at, refusals)
+				}
+				wantStorm += uint64(refusals)
+			}
+			if m.StormNACKs != wantStorm {
+				t.Errorf("StormNACKs = %d, want %d under a backoff capped at << 8", m.StormNACKs, wantStorm)
+			}
+			if m.Retries < m.StormNACKs {
+				t.Errorf("Retries = %d < StormNACKs = %d; storm refusals must back off", m.Retries, m.StormNACKs)
+			}
+		})
+	}
+}
+
 // Bulk metric families register only on first use: an RMC that never
 // issues a burst must not mention them in a snapshot.
 func TestBulkMetricsGatedOnUse(t *testing.T) {

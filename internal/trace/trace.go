@@ -165,20 +165,30 @@ func (t *Reader) Stream() cpu.Stream {
 	})
 }
 
+// replayChunk is how many records Replay buffers per AccessBatch call.
+// Batch boundaries never change costs or accessor state.
+const replayChunk = 4096
+
 // Replay runs the whole trace against a macro-layer accessor and returns
 // the accumulated memory time and access count.
 func (t *Reader) Replay(acc memmodel.Accessor) (params.Duration, uint64, error) {
 	var total params.Duration
 	var n uint64
+	var b memmodel.Batcher
+	b.Grow(replayChunk)
 	for {
 		r, err := t.Next()
-		if errors.Is(err, io.EOF) {
-			return total, n, nil
-		}
 		if err != nil {
+			total += b.Flush(acc)
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
 			return total, n, err
 		}
-		total += acc.Access(r.Addr, r.Write)
+		b.Add(r.Addr, r.Write)
 		n++
+		if b.Len() == replayChunk {
+			total += b.Flush(acc)
+		}
 	}
 }

@@ -111,7 +111,7 @@ func (k Kernel) Run(acc memmodel.Accessor, seed int64) Result {
 			a, w := next()
 			ops[i] = memmodel.AccessOp{Addr: a, Write: w}
 		}
-		res.MemTime += memmodel.Batch(acc, ops[:n])
+		res.MemTime += acc.AccessBatch(ops[:n])
 		done += n
 	}
 	res.Accesses = k.Accesses
