@@ -52,8 +52,8 @@ perf-gate:
 # integrity check that the fault injector's corrupted frames must never
 # slip past, random litmus programs under every protocol with directory
 # invariants held at every step, the -linklat and -mesh flag parsers,
-# and the -faults plan parser's canonical String round trip. CI runs the
-# same 10-second smokes.
+# and the canonical String round trips of the -faults, -bulk and
+# -explore parsers. CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
@@ -61,3 +61,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/faults
+	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
+	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster

@@ -1,8 +1,9 @@
 // Command ncdsm-perf is the tracked perf-regression harness. It runs
 // the benchmarks the hot-path work is judged by — engine event churn, a
-// full RMC remote-line round trip, the faulted Figure 7 sweep, and the
-// macro layer's batched access engine (the Figure 9 search hot loop and
-// the LineCached and Swap batch pricing loops) — and either writes the
+// full RMC remote-line round trip, the per-frame seal and verify cost,
+// the faulted Figure 7 sweep, and the macro layer's batched access
+// engine (the Figure 9 search hot loop and the LineCached and Swap
+// batch pricing loops) — and either writes the
 // results to a baseline file (BENCH_sim.json) or checks them against a
 // committed baseline.
 //
@@ -37,6 +38,8 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
+	"repro/internal/hnc"
+	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/memmodel"
 	"repro/internal/mesh"
@@ -183,6 +186,7 @@ func measure() Baseline {
 	run("calibration", "1s", 3, 0, nil, benchCalibration)
 	run("engine_schedule_run", "1s", 3, 0, func(r testing.BenchmarkResult) float64 { return float64(r.N) }, benchEngineChurn)
 	run("rmc_round_trip", "1s", 3, 0, nil, benchRemoteLineRead)
+	run("frame_seal_open", "500ms", 3, 0, nil, benchFrameSealOpen)
 	run("bulk_round_trip", "500ms", 3, 0, nil, benchBulkRoundTrip)
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
@@ -367,6 +371,24 @@ func benchRemoteLineRead(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Run()
+	}
+}
+
+// benchFrameSealOpen prices the HNC integrity work one frame costs on
+// the send path: seal a 64-byte read reply at the server and accept it
+// at the requester. A remote read pays it twice (request and reply).
+func benchFrameSealOpen(b *testing.B) {
+	v := hnc.NewVerifier(1)
+	data := make([]byte, params.CacheLineSize)
+	req := ht.Packet{Cmd: ht.CmdRdSized, SrcTag: 1, Addr: addr.Phys(0x1000).WithNode(3), Count: params.CacheLineSize}
+	f := hnc.Frame{Src: 3, Dst: 1, Payload: req.Response(data)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Seq++
+		if _, err := v.AcceptLoose(hnc.Seal(f)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -54,7 +54,10 @@ func (f Frame) String() string {
 // traffic to other nodes.
 type Bridge struct {
 	self addr.NodeID
-	seq  map[addr.NodeID]uint64
+	// seq is keyed by destination node, widened to uint32: the runtime
+	// has fast map paths for 32- and 64-bit keys but hashes a uint16 key
+	// through the generic one, and this lookup runs on every frame.
+	seq map[uint32]uint64
 }
 
 // NewBridge returns a bridge for the given node.
@@ -62,7 +65,7 @@ func NewBridge(self addr.NodeID) (*Bridge, error) {
 	if self == 0 || self > addr.MaxNode {
 		return nil, fmt.Errorf("hnc: invalid node id %d", self)
 	}
-	return &Bridge{self: self, seq: make(map[addr.NodeID]uint64)}, nil
+	return &Bridge{self: self, seq: make(map[uint32]uint64)}, nil
 }
 
 // Outbound encapsulates a local HT request whose address carries a remote
@@ -120,6 +123,7 @@ func (b *Bridge) Reply(to addr.NodeID, p ht.Packet) (Frame, error) {
 }
 
 func (b *Bridge) nextSeq(dst addr.NodeID) uint64 {
-	b.seq[dst]++
-	return b.seq[dst]
+	s := b.seq[uint32(dst)] + 1
+	b.seq[uint32(dst)] = s
+	return s
 }

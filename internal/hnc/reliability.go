@@ -17,36 +17,67 @@ import (
 // itself stays simple — integrity failures surface as counted, checkable
 // events rather than silent corruption.
 
-// Checksum computes the frame's integrity word over the routing header
-// and the encapsulated packet's metadata and data. It is allocation-free
-// (the header image lives on the stack and the CRC runs incrementally),
-// so sealing and verifying pooled frames stays off the GC entirely.
+// Checksum computes the frame's integrity word: the IEEE CRC-32 of a
+// 32-byte little-endian header image — (Src | Dst<<16 | Cmd<<32 |
+// SrcUnit<<40 | SrcTag<<48), Seq, Addr, and Count with Posted in bit 63
+// — followed by the packet's data. The image is never materialized:
+// the four header words fold straight into the CRC, and the data runs
+// eight bytes per step, with slicing-by-8 tables built at init. It is
+// allocation-free, so sealing and verifying pooled frames stays off the
+// GC entirely.
 func (f Frame) Checksum() uint32 {
-	var hdr [32]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(f.Src)|uint64(f.Dst)<<16|uint64(f.Payload.Cmd)<<32|uint64(f.Payload.SrcUnit)<<40|uint64(f.Payload.SrcTag)<<48)
-	binary.LittleEndian.PutUint64(hdr[8:], f.Seq)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(f.Payload.Addr))
+	p := f.Payload
 	// The Posted flag shares the Count word: an in-flight flip would
 	// silently change completion semantics, so it must be covered too.
-	cw := uint64(f.Payload.Count)
-	if f.Payload.Posted {
+	cw := uint64(p.Count)
+	if p.Posted {
 		cw |= 1 << 63
 	}
-	binary.LittleEndian.PutUint64(hdr[24:], cw)
-	crc := crcUpdate(0, hdr[:])
-	return crcUpdate(crc, f.Payload.Data)
-}
-
-// crcUpdate is crc32.Update(crc, crc32.IEEETable, p), inlined because
-// the stdlib's internal update leaks its slice parameter to the heap —
-// which would force the stack header image in Checksum to allocate on
-// every seal and verify. Byte-for-byte the same polynomial and value.
-func crcUpdate(crc uint32, p []byte) uint32 {
-	crc = ^crc
-	for _, b := range p {
-		crc = crc32.IEEETable[byte(crc)^b] ^ (crc >> 8)
+	crc := ^uint32(0)
+	crc = crcWord(crc, uint64(f.Src)|uint64(f.Dst)<<16|uint64(p.Cmd)<<32|uint64(p.SrcUnit)<<40|uint64(p.SrcTag)<<48)
+	crc = crcWord(crc, f.Seq)
+	crc = crcWord(crc, uint64(p.Addr))
+	crc = crcWord(crc, cw)
+	data := p.Data
+	for len(data) >= 8 {
+		crc = crcWord(crc, binary.LittleEndian.Uint64(data))
+		data = data[8:]
+	}
+	for _, b := range data {
+		crc = crcSlice8[0][byte(crc)^b] ^ (crc >> 8)
 	}
 	return ^crc
+}
+
+// crcSlice8 holds the slicing-by-8 tables of the IEEE polynomial: entry
+// [k][b] is the CRC register contribution of byte b followed by k zero
+// bytes. Row 0 is crc32.IEEETable itself. The tables are built here at
+// init rather than taken from hash/crc32 at run time: crc32.Update lets
+// its slice argument escape and builds its own slicing table lazily on
+// first use, so either would put an allocation on the seal/verify path.
+var crcSlice8 [8][256]uint32
+
+func init() {
+	crcSlice8[0] = *crc32.IEEETable
+	for i := 0; i < 256; i++ {
+		crc := crcSlice8[0][i]
+		for k := 1; k < 8; k++ {
+			crc = crcSlice8[0][byte(crc)] ^ (crc >> 8)
+			crcSlice8[k][i] = crc
+		}
+	}
+}
+
+// crcWord advances an (inverted) CRC register over the eight
+// little-endian bytes of w in one slicing-by-8 step: the register folds
+// into the low four bytes, then each byte looks up its contribution
+// given how many bytes still follow it.
+func crcWord(crc uint32, w uint64) uint32 {
+	x := w ^ uint64(crc)
+	return crcSlice8[7][byte(x)] ^ crcSlice8[6][byte(x>>8)] ^
+		crcSlice8[5][byte(x>>16)] ^ crcSlice8[4][byte(x>>24)] ^
+		crcSlice8[3][byte(x>>32)] ^ crcSlice8[2][byte(x>>40)] ^
+		crcSlice8[1][byte(x>>48)] ^ crcSlice8[0][x>>56]
 }
 
 // Sealed is a frame carrying its checksum, as it travels on an
@@ -59,10 +90,28 @@ type Sealed struct {
 // Seal attaches the checksum.
 func Seal(f Frame) Sealed { return Sealed{Frame: f, CRC: f.Checksum()} }
 
-// Open verifies the checksum and returns the frame.
+// ChecksumError reports a frame whose checksum does not match the CRC
+// it traveled with. It keeps only the frame's identity, and formats it
+// only when read: the serving paths count and discard these errors on
+// every injected corruption, so building the message eagerly would put
+// formatting garbage on the recovery path.
+type ChecksumError struct {
+	Src, Dst addr.NodeID
+	Seq      uint64
+	// Got is the checksum recomputed at the receiver; Want is the CRC
+	// the frame carried.
+	Got, Want uint32
+}
+
+func (e *ChecksumError) Error() string {
+	return fmt.Sprintf("hnc: checksum mismatch on frame %d->%d seq=%d: %#x != %#x", e.Src, e.Dst, e.Seq, e.Got, e.Want)
+}
+
+// Open verifies the checksum and returns the frame. A mismatch returns
+// a *ChecksumError.
 func (s Sealed) Open() (Frame, error) {
 	if got := s.Frame.Checksum(); got != s.CRC {
-		return Frame{}, fmt.Errorf("hnc: checksum mismatch on %v: %#x != %#x", s.Frame, got, s.CRC)
+		return Frame{}, &ChecksumError{Src: s.Frame.Src, Dst: s.Frame.Dst, Seq: s.Frame.Seq, Got: got, Want: s.CRC}
 	}
 	return s.Frame, nil
 }
@@ -74,7 +123,7 @@ func (s Sealed) Open() (Frame, error) {
 // dropped ahead of it.
 type Verifier struct {
 	self addr.NodeID
-	last map[addr.NodeID]uint64
+	last map[uint32]uint64 // keyed by source node, widened as Bridge.seq is
 
 	// Received, Gaps, Regressions, and Corrupt count events.
 	Received, Gaps, Regressions, Corrupt uint64
@@ -82,7 +131,7 @@ type Verifier struct {
 
 // NewVerifier builds a verifier for one node.
 func NewVerifier(self addr.NodeID) *Verifier {
-	return &Verifier{self: self, last: make(map[addr.NodeID]uint64)}
+	return &Verifier{self: self, last: make(map[uint32]uint64)}
 }
 
 // open runs the checks shared by both acceptance paths: checksum and
@@ -106,7 +155,7 @@ func (v *Verifier) open(s Sealed) (Frame, error) {
 // in what a regression yields: strict refuses the frame (not received),
 // loose serves it (received, counted).
 func (v *Verifier) note(src addr.NodeID, seq uint64, strict bool) error {
-	last := v.last[src]
+	last := v.last[uint32(src)]
 	switch {
 	case seq == last+1:
 		// In order.
@@ -121,7 +170,7 @@ func (v *Verifier) note(src addr.NodeID, seq uint64, strict bool) error {
 		return nil
 	}
 	v.Received++
-	v.last[src] = seq
+	v.last[uint32(src)] = seq
 	return nil
 }
 

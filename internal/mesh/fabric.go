@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// linkKey identifies one directed link.
+// linkKey identifies one directed link; the express links are keyed by it.
 type linkKey struct {
 	from, to addr.NodeID
 }
@@ -36,7 +36,7 @@ type Fabric struct {
 	eng      *sim.Engine
 	p        params.Params
 	inj      *faults.Injector // nil on a fault-free fabric
-	links    map[linkKey]*link
+	links    []*link          // mesh links by linkSlot; nil past the mesh edge
 	express  map[linkKey]*link
 	onChange func() // invoked after link-set changes (express additions)
 
@@ -63,16 +63,17 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 		eng:     eng,
 		p:       p,
 		inj:     inj,
-		links:   make(map[linkKey]*link),
+		links:   make([]*link, linksPerNode*topo.Nodes()),
 		express: make(map[linkKey]*link),
 	}
 	for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
 		for _, nb := range topo.Neighbors(id) {
-			k := linkKey{id, nb}
-			f.links[k] = f.newLink(k, "mesh", 0)
+			slot, _ := f.linkSlot(id, nb)
+			l := f.newLink(linkKey{id, nb}, "mesh", 0)
 			fx, fy := topo.Coord(id)
 			tx, ty := topo.Coord(nb)
-			f.links[k].lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
+			l.lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
+			f.links[slot] = l
 		}
 	}
 	m := eng.Metrics()
@@ -89,6 +90,56 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 			func() uint64 { return f.Unreachable })
 	}
 	return f
+}
+
+// The directions of a node's outgoing mesh links, which are also their
+// slots among the node's linksPerNode entries of f.links.
+const (
+	dirXMinus = iota
+	dirXPlus
+	dirYMinus
+	dirYPlus
+	linksPerNode
+)
+
+// slot returns the index in f.links of the link leaving from in dir.
+func slot(from addr.NodeID, dir int) int { return int(from-1)*linksPerNode + dir }
+
+// linkSlot returns the index of the directed mesh link from->to in
+// f.links. The direction comes from the coordinates, not the identifier
+// difference, because +1 and +W are the same offset on a 1×N mesh. It
+// reports false when either node is outside the mesh or the two are not
+// neighbors.
+func (f *Fabric) linkSlot(from, to addr.NodeID) (int, bool) {
+	if !f.topo.Contains(from) || !f.topo.Contains(to) {
+		return 0, false
+	}
+	fx, fy := f.topo.Coord(from)
+	tx, ty := f.topo.Coord(to)
+	var dir int
+	switch {
+	case ty == fy && tx == fx-1:
+		dir = dirXMinus
+	case ty == fy && tx == fx+1:
+		dir = dirXPlus
+	case tx == fx && ty == fy-1:
+		dir = dirYMinus
+	case tx == fx && ty == fy+1:
+		dir = dirYPlus
+	default:
+		return 0, false
+	}
+	return slot(from, dir), true
+}
+
+// link returns the directed mesh link from->to, or nil when there is
+// none.
+func (f *Fabric) link(from, to addr.NodeID) *link {
+	slot, ok := f.linkSlot(from, to)
+	if !ok {
+		return nil
+	}
+	return f.links[slot]
 }
 
 // newLink builds a directed link and registers its traffic counters.
@@ -191,8 +242,8 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 			f.Unreachable++
 			return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Unreachable}
 		}
-		next, detour, ok := f.nextHop(cur, prev, dst, t, detoured)
-		if !ok {
+		next, l, detour := f.nextHop(cur, prev, dst, t, detoured)
+		if l == nil {
 			f.Unreachable++
 			return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Unreachable}
 		}
@@ -200,7 +251,6 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 			detoured = true
 			f.Reroutes++
 		}
-		l := f.links[linkKey{cur, next}]
 		done, _ := l.res.Acquire(t, occ) // mesh links have unbounded queues
 		l.frames++
 		l.bytes += uint64(wireBytes)
@@ -234,28 +284,34 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	return faults.Outcome{Arrive: int64(t), Hops: hops, Status: st}
 }
 
-// nextHop picks the next node on the way to dst. On the clean path it is
-// the XY dimension-order neighbor; when that link is down — or once the
-// frame has already detoured (greedy) — it is the live neighbor closest
-// to the destination. The greedy mode matters: strict XY preference at
-// the nodes around an outage steers a detoured frame straight back into
-// the down link forever, whereas distance-greedy routing walks it around
-// the cut. Selection order is deterministic (distance to dst, then
-// identifier), so routes under a fixed fault plan replay exactly.
-func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (addr.NodeID, bool, bool) {
+// nextHop picks the next node on the way to dst, the link that
+// reaches it, and whether the hop leaves the XY route; a nil link
+// means there is no way on. On the clean path the next node is the XY
+// dimension-order neighbor; when that link is down — or once the
+// frame has already detoured (greedy) — it is the live neighbor
+// closest to the destination. The greedy mode matters: strict XY
+// preference at the nodes around an outage steers a detoured frame
+// straight back into the down link forever, whereas distance-greedy
+// routing walks it around the cut. Selection order is deterministic
+// (distance to dst, then identifier), so routes under a fixed fault
+// plan replay exactly.
+func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (addr.NodeID, *link, bool) {
 	x, y := f.topo.Coord(cur)
 	bx, by := f.topo.Coord(dst)
 	var pref addr.NodeID
-	if x != bx {
-		pref = f.topo.NodeAt(x+sign(bx-x), y)
-	} else {
-		pref = f.topo.NodeAt(x, y+sign(by-y))
+	var dir int
+	switch {
+	case bx < x:
+		pref, dir = f.topo.NodeAt(x-1, y), dirXMinus
+	case bx > x:
+		pref, dir = f.topo.NodeAt(x+1, y), dirXPlus
+	case by < y:
+		pref, dir = f.topo.NodeAt(x, y-1), dirYMinus
+	default:
+		pref, dir = f.topo.NodeAt(x, y+1), dirYPlus
 	}
-	if f.inj == nil {
-		return pref, false, true
-	}
-	if !greedy && !f.inj.LinkDown(cur, pref, int64(at)) {
-		return pref, false, true
+	if f.inj == nil || (!greedy && !f.inj.LinkDown(cur, pref, int64(at))) {
+		return pref, f.links[slot(cur, dir)], false
 	}
 	nbs := f.topo.Neighbors(cur)
 	sort.Slice(nbs, func(i, j int) bool {
@@ -273,14 +329,14 @@ func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (
 			continue // the XY link is known down on this path
 		}
 		if !f.inj.LinkDown(cur, nb, int64(at)) {
-			return nb, nb != pref, true
+			return nb, f.link(cur, nb), nb != pref
 		}
 	}
 	// Dead end: back out the way we came if that link is still up.
 	if prev != 0 && !f.inj.LinkDown(cur, prev, int64(at)) {
-		return prev, true, true
+		return prev, f.link(cur, prev), true
 	}
-	return 0, false, false
+	return 0, nil, false
 }
 
 // DeliverExpress sends a frame over a dedicated express link. It fails if
@@ -302,12 +358,20 @@ func (f *Fabric) DeliverExpress(now sim.Time, src, dst addr.NodeID, wireBytes in
 // LinkUtilization returns the utilization of the directed mesh link
 // from->to over elapsed time, for diagnostics.
 func (f *Fabric) LinkUtilization(from, to addr.NodeID, elapsed sim.Time) (float64, error) {
-	l, ok := f.links[linkKey{from, to}]
-	if !ok {
+	l := f.link(from, to)
+	if l == nil {
 		return 0, fmt.Errorf("mesh: no link %d->%d", from, to)
 	}
 	return l.res.Utilization(elapsed), nil
 }
 
 // Links returns the number of directed mesh links.
-func (f *Fabric) Links() int { return len(f.links) }
+func (f *Fabric) Links() int {
+	n := 0
+	for _, l := range f.links {
+		if l != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -34,8 +34,7 @@ func (f *Fabric) MinDelayMatrix(part Partition) [][]sim.Time {
 	adj := make([][]arc, n+1)
 	for id := addr.NodeID(1); int(id) <= n; id++ {
 		for _, nb := range f.topo.Neighbors(id) {
-			l := f.links[linkKey{id, nb}]
-			adj[id] = append(adj[id], arc{to: int(nb), cost: f.p.LinkOccupancy + l.lat})
+			adj[id] = append(adj[id], arc{to: int(nb), cost: f.p.LinkOccupancy + f.link(id, nb).lat})
 		}
 	}
 	for key := range f.express {
