@@ -52,8 +52,9 @@ perf-gate:
 # integrity check that the fault injector's corrupted frames must never
 # slip past, random litmus programs under every protocol with directory
 # invariants held at every step, the -linklat and -mesh flag parsers,
-# and the canonical String round trips of the -faults, -bulk and
-# -explore parsers. CI runs the same 10-second smokes.
+# the canonical String round trips of the -faults, -bulk and -explore
+# parsers, and the cache hierarchy against its array-of-structs oracle.
+# CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
@@ -63,3 +64,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/faults
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
+	$(GO) test -fuzz=FuzzHierarchyOracle -fuzztime=10s -run='^$$' ./internal/cache

@@ -1,9 +1,10 @@
 // Command ncdsm-perf is the tracked perf-regression harness. It runs
 // the benchmarks the hot-path work is judged by — engine event churn, a
 // full RMC remote-line round trip, the per-frame seal and verify cost,
-// the faulted Figure 7 sweep, and the macro layer's batched access
-// engine (the Figure 9 search hot loop and the LineCached and Swap
-// batch pricing loops) — and either writes the
+// a 4-socket cache miss with its sibling probes, a corner-to-corner
+// frame across the 16x16 mesh, the faulted Figure 7 sweep, and the
+// macro layer's batched access engine (the Figure 9 search hot loop and
+// the LineCached and Swap batch pricing loops) — and either writes the
 // results to a baseline file (BENCH_sim.json) or checks them against a
 // committed baseline.
 //
@@ -34,6 +35,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/btree"
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -187,6 +189,8 @@ func measure() Baseline {
 	run("engine_schedule_run", "1s", 3, 0, func(r testing.BenchmarkResult) float64 { return float64(r.N) }, benchEngineChurn)
 	run("rmc_round_trip", "1s", 3, 0, nil, benchRemoteLineRead)
 	run("frame_seal_open", "500ms", 3, 0, nil, benchFrameSealOpen)
+	run("cache_miss_4socket", "500ms", 3, 0, nil, benchCacheMiss4Socket)
+	run("fabric_deliver_16x16", "500ms", 3, 0, nil, benchFabricDeliver16x16)
 	run("bulk_round_trip", "500ms", 3, 0, nil, benchBulkRoundTrip)
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
@@ -389,6 +393,63 @@ func benchFrameSealOpen(b *testing.B) {
 		if _, err := v.AcceptLoose(hnc.Seal(f)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchCacheMiss4Socket prices one cache-hierarchy miss on the paper's
+// 4-socket node per op: the issuing socket's set lookup, a probe of the
+// same set in each of the three siblings (intra-node MESI), and an LRU
+// eviction to make room. The sockets take turns over a remote span
+// sixteen times the domain's capacity, so every access misses.
+func benchCacheMiss4Socket(b *testing.B) {
+	cfg := cache.DefaultConfig()
+	h, err := cache.NewHierarchy(4, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := addr.Phys(0).WithNode(2)
+	lines := uint64(16 * 4 * cfg.Sets * cfg.Ways)
+	access := func(i int) {
+		a := base + addr.Phys((uint64(i)%lines)*cfg.LineSize)
+		if _, err := h.Access(i&3, a, i%4 == 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < int(lines); i++ {
+		access(i) // fill every set so each later miss evicts
+	}
+	misses := h.Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access(i)
+	}
+	b.StopTimer()
+	if h.Misses-misses != uint64(b.N) {
+		b.Fatalf("%d of %d accesses missed", h.Misses-misses, b.N)
+	}
+}
+
+// benchFabricDeliver16x16 prices one fault-free corner-to-corner frame
+// across a 16x16 mesh per op: 30 store-and-forward hops along the XY
+// route. Each frame starts when the previous one arrives, so it never
+// queues and the loop measures the walk itself.
+func benchFabricDeliver16x16(b *testing.B) {
+	topo, err := mesh.NewTopology(16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := mesh.NewFabric(sim.New(), topo, params.Default(), nil)
+	src, dst := topo.NodeAt(0, 0), topo.NodeAt(15, 15)
+	var now int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := f.DeliverOutcome(sim.Time(now), src, dst, params.CacheLineSize)
+		if out.Hops != 30 {
+			b.Fatalf("corner-to-corner frame took %d hops", out.Hops)
+		}
+		now = out.Arrive
 	}
 }
 

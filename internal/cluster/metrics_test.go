@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/params"
 	"repro/internal/sim"
 )
 
@@ -58,5 +60,30 @@ func TestMetricsInstrumentation(t *testing.T) {
 	}
 	if !found {
 		t.Error("node 1 missing from Nodes() view")
+	}
+}
+
+// TestPrometheusRender16x16Allocs bounds the heap cost of rendering an
+// idle 16×16 cluster's snapshot as Prometheus text. Label escaping once
+// built a fresh strings.Replacer per label value, which cost about
+// 210 bytes allocated per byte of output at this size.
+func TestPrometheusRender16x16Allocs(t *testing.T) {
+	p := params.Default()
+	p.MeshWidth, p.MeshHeight = 16, 16
+	c, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Set().Metrics().Snapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := snap.Prometheus()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("rendered %d bytes, allocated %d bytes", len(out), allocated)
+	// The render allocates its output builder's growth plus a few small
+	// strings per sample; 16x the output size leaves room for both.
+	if limit := 16 * uint64(len(out)); allocated > limit {
+		t.Errorf("rendering %d bytes allocated %d bytes, want at most %d", len(out), allocated, limit)
 	}
 }

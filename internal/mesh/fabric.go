@@ -229,7 +229,8 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	}
 	occ := f.occupancy(wireBytes)
 	t := now
-	cur := src
+	cur := f.at(src)
+	bx, by := f.topo.Coord(dst)
 	var prev addr.NodeID
 	hops := 0
 	detoured := false
@@ -237,12 +238,12 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	// A frame wandering past every possible detour is unroutable; the
 	// cap bounds ping-ponging when outages partition the mesh.
 	maxHops := 4*(f.topo.W+f.topo.H) + 8
-	for cur != dst {
+	for cur.node != dst {
 		if hops >= maxHops {
 			f.Unreachable++
 			return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Unreachable}
 		}
-		next, l, detour := f.nextHop(cur, prev, dst, t, detoured)
+		next, l, detour := f.nextHop(cur, prev, dst, bx, by, t, detoured)
 		if l == nil {
 			f.Unreachable++
 			return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Unreachable}
@@ -269,7 +270,7 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 				corrupted = true
 			}
 		}
-		prev, cur = cur, next
+		prev, cur = cur.node, next
 	}
 	f.Delivered++
 	if detoured {
@@ -284,36 +285,49 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	return faults.Outcome{Arrive: int64(t), Hops: hops, Status: st}
 }
 
-// nextHop picks the next node on the way to dst, the link that
-// reaches it, and whether the hop leaves the XY route; a nil link
-// means there is no way on. On the clean path the next node is the XY
-// dimension-order neighbor; when that link is down — or once the
-// frame has already detoured (greedy) — it is the live neighbor
-// closest to the destination. The greedy mode matters: strict XY
-// preference at the nodes around an outage steers a detoured frame
-// straight back into the down link forever, whereas distance-greedy
-// routing walks it around the cut. Selection order is deterministic
-// (distance to dst, then identifier), so routes under a fixed fault
-// plan replay exactly.
-func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (addr.NodeID, *link, bool) {
-	x, y := f.topo.Coord(cur)
-	bx, by := f.topo.Coord(dst)
-	var pref addr.NodeID
+// cursor is a frame's position in the mesh: a node and its
+// coordinates. DeliverOutcome steps the coordinates with each hop, so
+// the XY route never divides by the mesh width.
+type cursor struct {
+	node addr.NodeID
+	x, y int
+}
+
+// at returns the cursor standing on node n.
+func (f *Fabric) at(n addr.NodeID) cursor {
+	x, y := f.topo.Coord(n)
+	return cursor{node: n, x: x, y: y}
+}
+
+// nextHop picks the next position on the way to dst (at coordinates
+// bx, by), the link that reaches it, and whether the hop leaves the XY
+// route; a nil link means there is no way on. On the clean path the
+// next node is the XY dimension-order neighbor, one step along x or y:
+// cur±1 or cur±W. When that link is down — or once the frame has
+// already detoured (greedy) — it is the live neighbor closest to the
+// destination. The greedy mode matters: strict XY preference at the
+// nodes around an outage steers a detoured frame straight back into
+// the down link forever, whereas distance-greedy routing walks it
+// around the cut. Selection order is deterministic (distance to dst,
+// then identifier), so routes under a fixed fault plan replay exactly.
+func (f *Fabric) nextHop(cur cursor, prev, dst addr.NodeID, bx, by int, at sim.Time, greedy bool) (cursor, *link, bool) {
+	pref := cur
+	w := addr.NodeID(f.topo.W)
 	var dir int
 	switch {
-	case bx < x:
-		pref, dir = f.topo.NodeAt(x-1, y), dirXMinus
-	case bx > x:
-		pref, dir = f.topo.NodeAt(x+1, y), dirXPlus
-	case by < y:
-		pref, dir = f.topo.NodeAt(x, y-1), dirYMinus
+	case bx < cur.x:
+		pref.node, pref.x, dir = cur.node-1, cur.x-1, dirXMinus
+	case bx > cur.x:
+		pref.node, pref.x, dir = cur.node+1, cur.x+1, dirXPlus
+	case by < cur.y:
+		pref.node, pref.y, dir = cur.node-w, cur.y-1, dirYMinus
 	default:
-		pref, dir = f.topo.NodeAt(x, y+1), dirYPlus
+		pref.node, pref.y, dir = cur.node+w, cur.y+1, dirYPlus
 	}
-	if f.inj == nil || (!greedy && !f.inj.LinkDown(cur, pref, int64(at))) {
-		return pref, f.links[slot(cur, dir)], false
+	if f.inj == nil || (!greedy && !f.inj.LinkDown(cur.node, pref.node, int64(at))) {
+		return pref, f.links[slot(cur.node, dir)], false
 	}
-	nbs := f.topo.Neighbors(cur)
+	nbs := f.topo.Neighbors(cur.node)
 	sort.Slice(nbs, func(i, j int) bool {
 		di, dj := f.topo.Hops(nbs[i], dst), f.topo.Hops(nbs[j], dst)
 		if di != dj {
@@ -325,18 +339,18 @@ func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (
 		if nb == prev {
 			continue // never an immediate bounce back (loop bait)
 		}
-		if !greedy && nb == pref {
+		if !greedy && nb == pref.node {
 			continue // the XY link is known down on this path
 		}
-		if !f.inj.LinkDown(cur, nb, int64(at)) {
-			return nb, f.link(cur, nb), nb != pref
+		if !f.inj.LinkDown(cur.node, nb, int64(at)) {
+			return f.at(nb), f.link(cur.node, nb), nb != pref.node
 		}
 	}
 	// Dead end: back out the way we came if that link is still up.
-	if prev != 0 && !f.inj.LinkDown(cur, prev, int64(at)) {
-		return prev, f.link(cur, prev), true
+	if prev != 0 && !f.inj.LinkDown(cur.node, prev, int64(at)) {
+		return f.at(prev), f.link(cur.node, prev), true
 	}
-	return 0, nil, false
+	return cursor{}, nil, false
 }
 
 // DeliverExpress sends a frame over a dedicated express link. It fails if

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestCounterGaugeSnapshot(t *testing.T) {
@@ -152,6 +153,44 @@ func TestPrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// refEscapeLabel is the original escaper: a Replacer built per call.
+func refEscapeLabel(v string) string {
+	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(v)
+}
+
+func TestEscapeLabelMatchesReplacer(t *testing.T) {
+	for _, v := range []string{"", "7", "mesh", `a\b`, `say "hi"`, "two\nlines", "\\\"\n", `\\`, "tail\\"} {
+		if got, want := escapeLabel(v), refEscapeLabel(v); got != want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", v, got, want)
+		}
+	}
+	// Random strings over an alphabet dense in the escaped characters.
+	same := func(picks []uint8) bool {
+		const alphabet = "a1 \\\"\n"
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteByte(alphabet[int(p)%len(alphabet)])
+		}
+		v := b.String()
+		return escapeLabel(v) == refEscapeLabel(v)
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPrometheusEscapesLabels(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ncdsm_x_total", "", L("path", `C:\tmp`, "quote", `a "b"`, "text", "l1\nl2")).Add(1)
+	r.Counter("ncdsm_x_total", "", L("path", "plain", "quote", "", "text", "")).Add(2)
+	want := "# TYPE ncdsm_x_total counter\n" +
+		`ncdsm_x_total{path="C:\\tmp",quote="a \"b\"",text="l1\nl2"} 1` + "\n" +
+		`ncdsm_x_total{path="plain",quote="",text=""} 2` + "\n"
+	if got := r.Snapshot().Prometheus(); got != want {
+		t.Errorf("Prometheus() =\n%s\nwant\n%s", got, want)
 	}
 }
 

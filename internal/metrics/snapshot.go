@@ -228,9 +228,18 @@ func joinLabels(ls Labels) string {
 	return strings.Join(parts, ",")
 }
 
+// labelEscaper escapes the three characters the exposition format
+// reserves in a label value. A Replacer is safe for concurrent use, so
+// one serves every render.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel returns v escaped for a Prometheus label value, and v
+// itself when it holds nothing to escape, as every numeric label does.
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // Merged accumulates run snapshots in the order Add is called. The

@@ -10,6 +10,11 @@ import "fmt"
 // and the caller schedules its continuation there. Because the engine is
 // single-threaded and events execute in time order, this is equivalent to
 // an explicit server process but far cheaper.
+//
+// Only a bounded resource keeps an admission list. An unbounded one
+// (queue depth 0: every mesh link, server RMC, memory controller and
+// HToE port) never rejects an arrival, so it carries no list and its
+// Acquire and Penalize are plain nextFree/Busy arithmetic.
 type Resource struct {
 	name string
 	eng  *Engine
@@ -21,11 +26,12 @@ type Resource struct {
 	// one in service). 0 means unbounded.
 	queueDepth int
 
-	// waiting tracks when each queued/in-service request releases its
-	// queue slot, so bounded-queue admission can be checked. A slot is
-	// released when the server has actually finished the request:
-	// Penalize pushes pending release times back along with nextFree,
-	// so the queue stays full while the server chews NACK waste.
+	// waiting tracks when each queued/in-service request of a bounded
+	// resource releases its queue slot, so admission can be checked;
+	// it stays empty when queueDepth is 0. A slot is released when the
+	// server has actually finished the request: Penalize pushes pending
+	// release times back along with nextFree, so the queue stays full
+	// while the server chews NACK waste.
 	// Entries with release <= now are pruned lazily.
 	waiting []Time
 
@@ -64,10 +70,12 @@ func (r *Resource) Acquire(now Time, occupancy Time) (Time, bool) {
 	if occupancy < 0 {
 		panic(fmt.Sprintf("sim: negative occupancy %d on %s", occupancy, r.name))
 	}
-	r.prune(now)
-	if r.queueDepth > 0 && len(r.waiting) > r.queueDepth {
-		r.Rejected++
-		return 0, false
+	if r.queueDepth > 0 {
+		r.prune(now)
+		if len(r.waiting) > r.queueDepth {
+			r.Rejected++
+			return 0, false
+		}
 	}
 	start := now
 	if r.nextFree > start {
@@ -75,7 +83,9 @@ func (r *Resource) Acquire(now Time, occupancy Time) (Time, bool) {
 	}
 	done := start + occupancy
 	r.nextFree = done
-	r.waiting = append(r.waiting, done)
+	if r.queueDepth > 0 {
+		r.waiting = append(r.waiting, done)
+	}
 	r.Served++
 	r.Busy += occupancy
 	return done, true
@@ -104,12 +114,6 @@ func (r *Resource) Penalize(now Time, cost Time) {
 			r.waiting[i] = w + cost
 		}
 	}
-}
-
-// QueueLen returns the number of requests queued or in service at now.
-func (r *Resource) QueueLen(now Time) int {
-	r.prune(now)
-	return len(r.waiting)
 }
 
 // NextFree returns the earliest time a new service could begin.

@@ -284,6 +284,13 @@ func TestRunUntilStopKeepsClock(t *testing.T) {
 	}
 }
 
+// queueLen returns the number of requests a bounded resource holds
+// queued or in service at now.
+func queueLen(r *Resource, now Time) int {
+	r.prune(now)
+	return len(r.waiting)
+}
+
 func TestResourcePenalizeHoldsQueueSlots(t *testing.T) {
 	e := New()
 	r := NewResource(e, "rmc", 1)
@@ -302,14 +309,14 @@ func TestResourcePenalizeHoldsQueueSlots(t *testing.T) {
 	// so the queued requests hold their slots past their original
 	// completion times.
 	r.Penalize(0, 15)
-	if n := r.QueueLen(21); n != 2 {
+	if n := queueLen(r, 21); n != 2 {
 		t.Errorf("QueueLen(21) = %d, want 2 (server backlogged until 35)", n)
 	}
 	if _, ok := r.Acquire(21, 10); ok {
 		t.Error("admitted a request while the penalized backlog held the queue full")
 	}
 	// Once the penalized backlog drains, slots free and admission resumes.
-	if n := r.QueueLen(35); n != 0 {
+	if n := queueLen(r, 35); n != 0 {
 		t.Errorf("QueueLen(35) = %d, want 0", n)
 	}
 	done, ok := r.Acquire(36, 10)
@@ -324,10 +331,28 @@ func TestResourcePenalizeLeavesCompletedAlone(t *testing.T) {
 	r.Acquire(0, 10) // completes at 10
 	// A penalty after the request finished must not resurrect its slot.
 	r.Penalize(20, 5)
-	if n := r.QueueLen(20); n != 0 {
+	if n := queueLen(r, 20); n != 0 {
 		t.Errorf("QueueLen(20) = %d, want 0 (completed request resurrected)", n)
 	}
 	if r.NextFree() != 25 {
 		t.Errorf("NextFree = %d, want 25", r.NextFree())
+	}
+}
+
+func TestResourceUnboundedKeepsNoList(t *testing.T) {
+	e := New()
+	r := NewResource(e, "link", 0)
+	for i := 0; i < 100; i++ {
+		if _, ok := r.Acquire(Time(i), 10); !ok {
+			t.Fatalf("unbounded resource rejected arrival %d", i)
+		}
+	}
+	r.Penalize(50, 5)
+	if len(r.waiting) != 0 {
+		t.Errorf("unbounded resource holds an admission list of %d", len(r.waiting))
+	}
+	// 100 back-to-back services from t=0 plus the penalty.
+	if r.NextFree() != 1005 || r.Busy != 1005 || r.Served != 100 {
+		t.Errorf("NextFree=%d Busy=%d Served=%d, want 1005 1005 100", r.NextFree(), r.Busy, r.Served)
 	}
 }
