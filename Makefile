@@ -52,6 +52,7 @@ perf-gate:
 # integrity check that the fault injector's corrupted frames must never
 # slip past, random litmus programs under every protocol with directory
 # invariants held at every step, the -linklat and -mesh flag parsers,
+# every accepted -sweep value through system construction,
 # the canonical String round trips of the -faults, -bulk and -explore
 # parsers, and the cache hierarchy against its array-of-structs oracle.
 # CI runs the same 10-second smokes.
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
 	$(GO) test -fuzz=FuzzLitmusProgram -fuzztime=10s -run='^$$' ./internal/consistency
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
+	$(GO) test -fuzz=FuzzParseSweep -fuzztime=10s -run='^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run='^$$' ./internal/faults
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params

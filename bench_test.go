@@ -414,8 +414,7 @@ func BenchmarkHToEDelivery(b *testing.B) {
 	var now Time
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, _ := f.Deliver(now, 1, addr.NodeID(i%15+2), 72)
-		now = at
+		now = Time(f.DeliverOutcome(now, 1, addr.NodeID(i%15+2), 72).Arrive)
 	}
 }
 

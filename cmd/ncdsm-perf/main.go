@@ -466,9 +466,11 @@ func (p perfPeers) RMC(n addr.NodeID) (*rmc.RMC, error) {
 
 // bulkRig builds a 1×n-mesh rig with an RMC and store on every node,
 // the minimal machine a bulk burst or DMA copy needs.
-func bulkRig(b *testing.B, nodes int) (*sim.Engine, perfPeers) {
-	eng := sim.New()
+func bulkRig(b *testing.B, nodes int) (*sim.ShardSet, perfPeers) {
 	p := params.Default()
+	set := sim.NewShardSet(1, p.LinkLat.MinLatency(p.HopLatency))
+	exch := rmc.NewExchangeSet(set).Shard(0)
+	eng := set.Engine(0)
 	topo, err := mesh.NewTopology(nodes, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -481,15 +483,15 @@ func bulkRig(b *testing.B, nodes int) (*sim.Engine, perfPeers) {
 			b.Fatal(err)
 		}
 		r, err := rmc.New(rmc.Config{
-			Self: id, Engine: eng, Params: p, Fabric: fabric,
-			Peers: peers, Bank: dram.NewBank(eng, id, p), Store: st,
+			Self: id, Params: p, Fabric: fabric, Peers: peers,
+			Bank: dram.NewBank(eng, id, p), Store: st, Exch: exch,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		peers[id] = r
 	}
-	return eng, peers
+	return set, peers
 }
 
 // benchBulkRoundTrip is the bulk data plane's hot path: one 64-line
@@ -497,7 +499,7 @@ func bulkRig(b *testing.B, nodes int) (*sim.Engine, perfPeers) {
 // doorbell, descriptor, pipelined data frames, reassembly — per op.
 // The continuation pools pin it at 0 allocs/op.
 func benchBulkRoundTrip(b *testing.B) {
-	eng, peers := bulkRig(b, 2)
+	set, peers := bulkRig(b, 2)
 	sink := make([]byte, 64*64)
 	spans := []rmc.Span{{Start: addr.Phys(0x30000000).WithNode(2), Lines: 64}}
 	req := rmc.BulkRequest{
@@ -509,10 +511,10 @@ func benchBulkRoundTrip(b *testing.B) {
 		},
 	}
 	issue := func() {
-		if err := peers[1].RequestBulk(eng.Now(), req); err != nil {
+		if err := peers[1].RequestBulk(set.Now(), req); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue() // warm the pools
@@ -527,7 +529,7 @@ func benchBulkRoundTrip(b *testing.B) {
 // benchBulkCopy is one 4 KiB region-to-region DMA per op: node 1 rings
 // node 2's doorbell, node 2 streams write frames straight to node 3.
 func benchBulkCopy(b *testing.B) {
-	eng, peers := bulkRig(b, 3)
+	set, peers := bulkRig(b, 3)
 	spans := []rmc.Span{{Start: addr.Phys(0x10000000).WithNode(2), Lines: 64}}
 	req := rmc.BulkRequest{
 		Kind: rmc.BulkCopy, Spans: spans,
@@ -539,10 +541,10 @@ func benchBulkCopy(b *testing.B) {
 		},
 	}
 	issue := func() {
-		if err := peers[1].RequestBulk(eng.Now(), req); err != nil {
+		if err := peers[1].RequestBulk(set.Now(), req); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue()

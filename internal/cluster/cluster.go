@@ -35,7 +35,6 @@ type Cluster struct {
 	fabric  rmc.Fabric
 	meshFab *mesh.Fabric // non-nil only for the mesh interconnect
 	inj     *faults.Injector
-	exch    []*rmc.Exchange
 	exSet   *rmc.ExchangeSet
 	nodes   []*Node
 }
@@ -43,10 +42,10 @@ type Cluster struct {
 // New builds a cluster from the parameter set, partitioned over the
 // shard set's engines. The mesh is tiled into one rectangular region per
 // shard (mesh.Partition); every node's events — cache, DRAM, RMC client
-// and server work — run on its region's engine, and cross-shard frame
-// deliveries travel through the windowed exchange drained at the set's
-// barriers. A single-shard set reproduces the same exchange schedule
-// inline, so figures are byte-identical at any shard count.
+// and server work — run on its region's engine, and every frame
+// delivery travels through the windowed exchange drained at the set's
+// barriers. A single-shard set runs the same exchange schedule inline,
+// so figures are byte-identical at any shard count.
 func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -89,12 +88,7 @@ func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 		c.meshFab = mesh.NewFabric(set.Engine(0), topo, p, c.inj)
 		c.fabric = c.meshFab
 	}
-	for i := 0; i < set.Shards(); i++ {
-		c.exch = append(c.exch, rmc.NewExchange(set.Engine(i)))
-	}
-	c.exSet = rmc.NewExchangeSet(c.exch)
-	set.OnBarrier(c.exSet.Drain)
-	set.SetIntentSource(c.exSet.Earliest)
+	c.exSet = rmc.NewExchangeSet(set)
 	if set.Shards() > 1 && c.meshFab != nil {
 		// Upgrade the uniform window to the distance-aware schedule:
 		// B[j][i] from the mesh geometry (and any -linklat table) and —
@@ -309,15 +303,13 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 	}
 	n.rmc, err = rmc.New(rmc.Config{
 		Self:   id,
-		Engine: eng,
 		Params: p,
 		Fabric: c.fabric,
 		Peers:  c,
 		Bank:   n.bank,
 		Store:  store,
 		Faults: c.inj,
-		Exch:   c.exch[shard],
-		Now:    c.set.Now,
+		Exch:   c.exSet.Shard(shard),
 	})
 	if err != nil {
 		return nil, err

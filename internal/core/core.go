@@ -40,17 +40,13 @@ type System struct {
 // The cluster upgrades the window to the distance-aware lookahead
 // schedule once the mesh geometry is known.
 func NewSystem(p params.Params) (*System, error) {
-	k := p.Shards
-	if k < 1 {
-		k = 1
+	// Validate before building the shard set: its lookahead window
+	// derives from HopLatency and the -linklat table, and NewShardSet
+	// panics on a non-positive window.
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	window := p.LinkLat.MinLatency(p.HopLatency)
-	var set *sim.ShardSet
-	if k == 1 {
-		set = sim.WrapEngine(sim.New(), window)
-	} else {
-		set = sim.NewShardSet(k, window)
-	}
+	set := sim.NewShardSet(max(p.Shards, 1), p.LinkLat.MinLatency(p.HopLatency))
 	cl, err := cluster.New(set, p)
 	if err != nil {
 		return nil, err
@@ -119,13 +115,6 @@ func (s *System) Stop() { s.set.Stop() }
 
 // Registry returns the metrics registry shared by every shard.
 func (s *System) Registry() *metrics.Registry { return s.set.Metrics() }
-
-// EngineFor returns the shard engine a node's events run on; work
-// driving that node (cpu threads, experiment continuations) must be
-// scheduled there.
-func (s *System) EngineFor(n addr.NodeID) *sim.Engine {
-	return s.cl.MustNode(n).Engine()
-}
 
 // Directory returns the free-memory directory.
 func (s *System) Directory() *memdir.Directory { return s.dir }

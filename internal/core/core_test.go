@@ -47,6 +47,21 @@ func TestSystemAssembly(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsNonPositiveHopLatency: the lookahead window derives
+// from HopLatency, so a zero or negative hop must fail validation before
+// the shard set is built instead of panicking inside it.
+func TestNewSystemRejectsNonPositiveHopLatency(t *testing.T) {
+	for _, hop := range []params.Duration{0, -params.Nanosecond} {
+		for _, shards := range []int{1, 2} {
+			p := params.Default()
+			p.HopLatency, p.Shards = hop, shards
+			if _, err := NewSystem(p); err == nil {
+				t.Errorf("HopLatency %d at %d shards accepted", hop, shards)
+			}
+		}
+	}
+}
+
 func TestGrowShrink(t *testing.T) {
 	s := newSystem(t)
 	r, _ := s.Region(3)

@@ -35,13 +35,14 @@ func TestConstantDistance(t *testing.T) {
 	f := fabric(t, 16)
 	// Every pair is two hops: the delivery time between any two distinct
 	// nodes is identical (unloaded).
-	base, hops := f.Deliver(0, 1, 2, 72)
+	o := f.DeliverOutcome(0, 1, 2, 72)
+	base, hops := sim.Time(o.Arrive), o.Hops
 	if hops != 2 {
 		t.Errorf("hops = %d, want 2", hops)
 	}
 	for _, dst := range []addr.NodeID{3, 9, 16} {
 		f2 := fabric(t, 16)
-		got, _ := f2.Deliver(0, 1, dst, 72)
+		got := sim.Time(f2.DeliverOutcome(0, 1, dst, 72).Arrive)
 		if got != base {
 			t.Errorf("delivery 1->%d = %d, want the constant %d", dst, got, base)
 		}
@@ -51,7 +52,7 @@ func TestConstantDistance(t *testing.T) {
 func TestUnloadedLatencyBudget(t *testing.T) {
 	f := fabric(t, 4)
 	cfg := DefaultConfig()
-	got, _ := f.Deliver(0, 1, 2, 72)
+	got := sim.Time(f.DeliverOutcome(0, 1, 2, 72).Arrive)
 	// NIC + serialize(up) + wire + switch-occ + switch + serialize(down)
 	// + wire + NIC; 72+38=110 bytes → 2 occupancy units.
 	occ := 2 * cfg.LinkOccupancy
@@ -64,8 +65,8 @@ func TestUnloadedLatencyBudget(t *testing.T) {
 
 func TestSelfDelivery(t *testing.T) {
 	f := fabric(t, 4)
-	if at, hops := f.Deliver(50, 2, 2, 72); at != 50 || hops != 0 {
-		t.Errorf("self delivery = %d, %d", at, hops)
+	if o := f.DeliverOutcome(50, 2, 2, 72); o.Arrive != 50 || o.Hops != 0 {
+		t.Errorf("self delivery = %d, %d", o.Arrive, o.Hops)
 	}
 }
 
@@ -87,7 +88,7 @@ func TestMTUSegmentation(t *testing.T) {
 	}
 
 	f := fabric(t, 4)
-	f.Deliver(0, 1, 2, 4096)
+	f.DeliverOutcome(0, 1, 2, 4096)
 	if f.Frames != 3 || f.Delivered != 1 {
 		t.Errorf("Frames=%d Delivered=%d", f.Frames, f.Delivered)
 	}
@@ -96,8 +97,8 @@ func TestMTUSegmentation(t *testing.T) {
 func TestSwitchIsTheSharedBottleneck(t *testing.T) {
 	f := fabric(t, 16)
 	// Disjoint node pairs contend only at the switch.
-	t1, _ := f.Deliver(0, 1, 2, 72)
-	t2, _ := f.Deliver(0, 3, 4, 72)
+	t1 := sim.Time(f.DeliverOutcome(0, 1, 2, 72).Arrive)
+	t2 := sim.Time(f.DeliverOutcome(0, 3, 4, 72).Arrive)
 	if t2 <= t1 {
 		t.Errorf("second disjoint delivery (%d) not delayed behind the shared switch (%d)", t2, t1)
 	}
@@ -112,8 +113,8 @@ func TestSwitchIsTheSharedBottleneck(t *testing.T) {
 func TestPerNICContention(t *testing.T) {
 	f := fabric(t, 16)
 	// Two frames from the same source serialize on its uplink as well.
-	t1, _ := f.Deliver(0, 1, 2, 4096)
-	t2, _ := f.Deliver(0, 1, 3, 4096)
+	t1 := sim.Time(f.DeliverOutcome(0, 1, 2, 4096).Arrive)
+	t2 := sim.Time(f.DeliverOutcome(0, 1, 3, 4096).Arrive)
 	gap := t2 - t1
 	if gap <= DefaultConfig().SwitchOccupancy {
 		t.Errorf("same-source gap %d should exceed switch-only contention", gap)
@@ -134,14 +135,14 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Error("delivery outside the fabric did not panic")
 		}
 	}()
-	f.Deliver(0, 1, 9, 72)
+	f.DeliverOutcome(0, 1, 9, 72)
 }
 
 func TestRoundTripEstimate(t *testing.T) {
 	f := fabric(t, 4)
 	service := 300 * params.Nanosecond
 	rt := f.RoundTrip(service)
-	measured, _ := f.Deliver(0, 1, 2, 72)
+	measured := sim.Time(f.DeliverOutcome(0, 1, 2, 72).Arrive)
 	// The estimate covers two traversals plus service; one unloaded
 	// traversal must be about half of (rt - service).
 	oneWay := (rt - service) / 2

@@ -52,6 +52,9 @@ func NewBulkModel(p params.Params, hops int) (*BulkModel, error) {
 	if hops < 0 || hops > 64 {
 		return nil, fmt.Errorf("memmodel: bulk model at %d hops", hops)
 	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return &BulkModel{P: p, Hops: hops, cache: make(map[bulkKey]params.Duration)}, nil
 }
 
@@ -120,7 +123,9 @@ func (p microPeers) RMC(n addr.NodeID) (*rmc.RMC, error) {
 // serving node at the other, issues the transfer as bursts, and returns
 // the drain time.
 func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
-	eng := sim.New()
+	set := sim.NewShardSet(1, m.P.LinkLat.MinLatency(m.P.HopLatency))
+	exch := rmc.NewExchangeSet(set).Shard(0)
+	eng := set.Engine(0)
 	topo, err := mesh.NewTopology(m.Hops+1, 1)
 	if err != nil {
 		panic(fmt.Sprintf("memmodel: bulk pricing topology: %v", err))
@@ -133,8 +138,8 @@ func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
 			panic(fmt.Sprintf("memmodel: bulk pricing store: %v", err))
 		}
 		r, err := rmc.New(rmc.Config{
-			Self: id, Engine: eng, Params: m.P, Fabric: fabric,
-			Peers: peers, Bank: dram.NewBank(eng, id, m.P), Store: st,
+			Self: id, Params: m.P, Fabric: fabric, Peers: peers,
+			Bank: dram.NewBank(eng, id, m.P), Store: st, Exch: exch,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
@@ -174,7 +179,7 @@ func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
 			panic(fmt.Sprintf("memmodel: bulk pricing request: %v", err))
 		}
 	}
-	eng.Run()
+	set.Run()
 	return params.Duration(last)
 }
 

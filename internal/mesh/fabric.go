@@ -204,25 +204,16 @@ func (f *Fabric) occupancy(wireBytes int) sim.Time {
 	return sim.Time(units) * f.p.LinkOccupancy
 }
 
-// Deliver sends a frame of wireBytes from src to dst along the XY route,
-// starting at now. It returns the arrival time at dst and the hop count.
-// Each hop is store-and-forward: the frame serializes onto the link
-// (waiting behind earlier frames), then takes the hop latency to cross,
-// which is how contention on shared mesh links appears in Figure 8.
-// Deliver is the fault-oblivious entry: callers that must survive drops
-// or outages use DeliverOutcome instead.
-func (f *Fabric) Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim.Time, int) {
-	out := f.DeliverOutcome(now, src, dst, wireBytes)
-	return sim.Time(out.Arrive), out.Hops
-}
-
-// DeliverOutcome pushes one frame through the (possibly faulty) mesh:
-// hop by hop along the XY route, detouring around links the fault plan
-// has taken down (greedy: the up neighbor closest to the destination
-// that is not an immediate bounce back), rolling the plan's drop,
-// corruption, and delay probabilities on every traversal. Without an
-// injector it is exactly Deliver: same route, same link occupancies,
-// same counters.
+// DeliverOutcome implements rmc.Fabric: it sends a frame of wireBytes
+// from src to dst starting at now and reports its arrival time and hop
+// count. Each hop is store-and-forward: the frame serializes onto the
+// link (waiting behind earlier frames), then takes the hop latency to
+// cross, which is how contention on shared mesh links appears in
+// Figure 8. Frames follow the XY route; under a fault plan they detour
+// around links the plan has taken down (greedy: the up neighbor closest
+// to the destination that is not an immediate bounce back), and the
+// plan's drop, corruption, and delay probabilities roll on every
+// traversal.
 func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome {
 	if src == dst {
 		return faults.Outcome{Arrive: int64(now), Status: faults.Delivered}

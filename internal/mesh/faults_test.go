@@ -25,7 +25,8 @@ func TestFaultFreeOutcomeMatchesDeliver(t *testing.T) {
 	b := NewFabric(sim.New(), topo, p, nil)
 
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(3, 2)
-	arrive, hops := a.Deliver(0, src, dst, 72)
+	o := a.DeliverOutcome(0, src, dst, 72)
+	arrive, hops := sim.Time(o.Arrive), o.Hops
 	out := b.DeliverOutcome(0, src, dst, 72)
 	if out.Status != faults.Delivered {
 		t.Fatalf("status = %v", out.Status)
@@ -160,7 +161,8 @@ func TestDelayAddsLatency(t *testing.T) {
 	clean := NewFabric(sim.New(), topo, p, nil)
 	slow := NewFabric(sim.New(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1, Delay: 1, DelayBy: extra}))
 
-	base, hops := clean.Deliver(0, 1, 3, 72)
+	o := clean.DeliverOutcome(0, 1, 3, 72)
+	base, hops := sim.Time(o.Arrive), o.Hops
 	out := slow.DeliverOutcome(0, 1, 3, 72)
 	if out.Status != faults.Delivered {
 		t.Fatalf("status = %v", out.Status)

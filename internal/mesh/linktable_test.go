@@ -48,7 +48,7 @@ func TestLinkTableDistinctLinks(t *testing.T) {
 					if name, want := l.res.Name(), fmt.Sprintf("link %d->%d", id, nb); name != want {
 						t.Fatalf("link %d->%d resolves to %q", id, nb, name)
 					}
-					if _, hops := f.Deliver(0, id, nb, 64); hops != 1 {
+					if hops := f.DeliverOutcome(0, id, nb, 64).Hops; hops != 1 {
 						t.Fatalf("%d->%d took %d hops", id, nb, hops)
 					}
 				}

@@ -145,7 +145,8 @@ func TestFabricDeliveryLatency(t *testing.T) {
 	}
 
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(2, 0)
-	arrive, hops := f.Deliver(0, src, dst, 72)
+	o := f.DeliverOutcome(0, src, dst, 72)
+	arrive, hops := sim.Time(o.Arrive), o.Hops
 	if hops != 2 {
 		t.Errorf("hops = %d, want 2", hops)
 	}
@@ -158,7 +159,8 @@ func TestFabricDeliveryLatency(t *testing.T) {
 func TestFabricSelfDelivery(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
-	arrive, hops := f.Deliver(100, 3, 3, 72)
+	o := f.DeliverOutcome(100, 3, 3, 72)
+	arrive, hops := sim.Time(o.Arrive), o.Hops
 	if arrive != 100 || hops != 0 {
 		t.Errorf("self delivery = (%d, %d), want (100, 0)", arrive, hops)
 	}
@@ -171,8 +173,8 @@ func TestFabricContention(t *testing.T) {
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	// Two simultaneous frames on one link: the second serializes behind
 	// the first.
-	a1, _ := f.Deliver(0, src, dst, 72)
-	a2, _ := f.Deliver(0, src, dst, 72)
+	a1 := sim.Time(f.DeliverOutcome(0, src, dst, 72).Arrive)
+	a2 := sim.Time(f.DeliverOutcome(0, src, dst, 72).Arrive)
 	if a2 <= a1 {
 		t.Errorf("contended frame arrived at %d, not after %d", a2, a1)
 	}
@@ -186,9 +188,9 @@ func TestFabricLargeTransferScalesOccupancy(t *testing.T) {
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
 	topo := f.Topology()
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
-	small, _ := f.Deliver(0, src, dst, 64)
+	small := sim.Time(f.DeliverOutcome(0, src, dst, 64).Arrive)
 	f2 := NewFabric(sim.New(), topo, p, nil)
-	big, _ := f2.Deliver(0, src, dst, 4096)
+	big := sim.Time(f2.DeliverOutcome(0, src, dst, 4096).Arrive)
 	if big <= small {
 		t.Errorf("4 KiB frame (%d) not slower than 64 B frame (%d)", big, small)
 	}
@@ -240,7 +242,7 @@ func TestExpressLink(t *testing.T) {
 func TestLinkUtilization(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
-	f.Deliver(0, 1, 2, 64)
+	f.DeliverOutcome(0, 1, 2, 64)
 	u, err := f.LinkUtilization(1, 2, p.LinkOccupancy*10)
 	if err != nil {
 		t.Fatal(err)

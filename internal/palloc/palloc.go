@@ -37,9 +37,6 @@ func New(zone addr.Range) (*Allocator, error) {
 	return &Allocator{zone: zone, free: []addr.Range{zone}}, nil
 }
 
-// Zone returns the zone this allocator manages.
-func (a *Allocator) Zone() addr.Range { return a.zone }
-
 // Free returns the total free bytes.
 func (a *Allocator) Free() uint64 {
 	var total uint64

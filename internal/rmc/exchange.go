@@ -10,13 +10,13 @@ import (
 )
 
 // The windowed exchange is the cross-shard half of the conservative PDES
-// engine (DESIGN §16). In exchange mode an RMC's sendAttempt does not
-// walk the fabric; it appends a transmission intent to its shard's
-// Exchange. At every window barrier the coordinator — with all shards
-// parked — merges the intents of every shard, sorts them by
-// (time, source node, per-source sequence), and replays those below the
-// barrier's replay horizon through completeSend, holding the rest for a
-// later barrier. The horizon guarantees no future intent can be
+// engine (DESIGN §16) and the RMC's only send path, at one shard as at
+// many: sendAttempt never walks the fabric; it appends a transmission
+// intent to its shard's Exchange. At every window barrier the
+// coordinator — with all shards parked — merges the intents of every
+// shard, sorts them by (time, source node, per-source sequence), and
+// replays those below the barrier's replay horizon through
+// completeSend, holding the rest for a later barrier. The horizon guarantees no future intent can be
 // recorded below it, so the replayed prefix extends one canonical
 // stream — a pure function of simulated state — and link occupancies
 // and the fault injector's roll stream are consumed identically at any
@@ -69,9 +69,9 @@ type deliverEv struct {
 // RMCs recorded this window, the cross-shard pool returns deferred to
 // the barrier, and the shard's delivery-event pool.
 type Exchange struct {
-	eng     *sim.Engine
-	idx     int32 // shard index within the set
-	setSize int32 // engines in the owning set (>1: bulk bursts refuse to run)
+	es  *ExchangeSet
+	eng *sim.Engine
+	idx int32 // shard index within the set
 
 	// selfBound, when positive, is B[idx][idx] of the lookahead matrix:
 	// the minimum delivery bound of any frame this shard sends into
@@ -95,14 +95,6 @@ type Exchange struct {
 	defBuf []deferredBuf
 	evs    []*deliverEv
 }
-
-// NewExchange returns the exchange for one shard's engine.
-func NewExchange(eng *sim.Engine) *Exchange {
-	return &Exchange{eng: eng, freshMin: sim.MaxTime}
-}
-
-// Engine returns the shard engine this exchange belongs to.
-func (x *Exchange) Engine() *sim.Engine { return x.eng }
 
 // record holds one transmission intent for the next barrier drain and,
 // when a self-delivery bound is installed, clamps the running window so
@@ -138,29 +130,37 @@ func (x *Exchange) putEv(ev *deliverEv) {
 	x.evs = append(x.evs, ev)
 }
 
-// ExchangeSet drains every shard's exchange at a window barrier. Install
-// its Drain as the shard set's barrier hook and Earliest as its intent
-// source. held is the sorted suffix of intents past every horizon so
-// far; heldMin[j] is the earliest held time attributable to source
-// shard j (sim.MaxTime when none), the elision scheduler's view of
-// in-flight cross-shard work.
+// ExchangeSet drains every shard's exchange at a window barrier; its
+// Drain is the shard set's barrier hook and Earliest its intent source.
+// held is the sorted suffix of intents past every horizon so far;
+// heldMin[j] is the earliest held time attributable to source shard j
+// (sim.MaxTime when none), the elision scheduler's view of in-flight
+// cross-shard work.
 type ExchangeSet struct {
+	set     *sim.ShardSet
 	shards  []*Exchange
 	held    []xmit
 	heldMin []sim.Time
 	trace   func(t sim.Time, src, dst addr.NodeID, seq uint64)
 }
 
-// NewExchangeSet groups the per-shard exchanges.
-func NewExchangeSet(shards []*Exchange) *ExchangeSet {
-	hm := make([]sim.Time, len(shards))
-	for i, x := range shards {
-		x.idx = int32(i)
-		x.setSize = int32(len(shards))
-		hm[i] = sim.MaxTime
+// NewExchangeSet builds one exchange per engine of set and installs the
+// set's Drain as its barrier hook and Earliest as its intent source.
+func NewExchangeSet(set *sim.ShardSet) *ExchangeSet {
+	k := set.Shards()
+	es := &ExchangeSet{set: set, shards: make([]*Exchange, k), heldMin: make([]sim.Time, k)}
+	for i := range es.shards {
+		es.shards[i] = &Exchange{es: es, eng: set.Engine(i), idx: int32(i), freshMin: sim.MaxTime}
+		es.heldMin[i] = sim.MaxTime
 	}
-	return &ExchangeSet{shards: shards, heldMin: hm}
+	set.OnBarrier(es.Drain)
+	set.SetIntentSource(es.Earliest)
+	return es
 }
+
+// Shard returns the exchange of shard i; RMCs on that shard's engine
+// send through it.
+func (es *ExchangeSet) Shard(i int) *Exchange { return es.shards[i] }
 
 // Trace installs a hook invoked for every transmission in canonical
 // drain order — the oracle tests compare these streams across shard

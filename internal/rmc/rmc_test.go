@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dram"
+	"repro/internal/faults"
 	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/mesh"
@@ -14,9 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// rig builds a bare N-node RMC network (no caches, no OS) on a 4x4 mesh.
+// rig builds a bare N-node RMC network (no caches, no OS) on a 4x4 mesh,
+// run as a one-shard set: every RMC sends through the shard's exchange,
+// as in the cluster.
 type rig struct {
+	set    *sim.ShardSet
 	eng    *sim.Engine
+	exch   *Exchange
 	p      params.Params
 	fabric *mesh.Fabric
 	rmcs   map[addr.NodeID]*RMC
@@ -33,16 +38,26 @@ func (r *rig) RMC(n addr.NodeID) (*RMC, error) {
 
 func newRig(t *testing.T, nodes int) *rig {
 	t.Helper()
+	return buildRig(t, nodes, nil)
+}
+
+// buildRig wires the rig's RMCs to one injector shared with the fabric
+// (nil for a fault-free network), exactly as the cluster wires them.
+func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
+	t.Helper()
 	p := params.Default()
-	eng := sim.New()
+	set := sim.NewShardSet(1, p.LinkLat.MinLatency(p.HopLatency))
+	eng := set.Engine(0)
 	topo, err := mesh.NewTopology(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &rig{
+		set:    set,
 		eng:    eng,
+		exch:   NewExchangeSet(set).Shard(0),
 		p:      p,
-		fabric: mesh.NewFabric(eng, topo, p, nil),
+		fabric: mesh.NewFabric(eng, topo, p, inj),
 		rmcs:   map[addr.NodeID]*RMC{},
 		stores: map[addr.NodeID]*mem.Store{},
 	}
@@ -54,8 +69,8 @@ func newRig(t *testing.T, nodes int) *rig {
 		}
 		r.stores[id] = st
 		m, err := New(Config{
-			Self: id, Engine: eng, Params: p, Fabric: r.fabric,
-			Peers: r, Bank: dram.NewBank(eng, id, p), Store: st,
+			Self: id, Params: p, Fabric: r.fabric, Peers: r,
+			Bank: dram.NewBank(eng, id, p), Store: st, Faults: inj, Exch: r.exch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +85,13 @@ func TestNewValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 	r := newRig(t, 2)
-	if _, err := New(Config{Self: 0, Engine: r.eng, Params: r.p, Fabric: r.fabric, Peers: r, Bank: dram.NewBank(r.eng, 1, r.p), Store: r.stores[1]}); err == nil {
+	c := Config{Self: 0, Params: r.p, Fabric: r.fabric, Peers: r, Bank: dram.NewBank(r.eng, 1, r.p), Store: r.stores[1], Exch: r.exch}
+	if _, err := New(c); err == nil {
 		t.Error("node 0 accepted")
+	}
+	c.Self, c.Exch = 3, nil
+	if _, err := New(c); err == nil {
+		t.Error("config without an exchange accepted")
 	}
 }
 
@@ -91,7 +111,7 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !bytes.Equal(gotData, want) {
 		t.Errorf("remote read returned %x, want %x", gotData[:4], want[:4])
 	}
@@ -115,7 +135,7 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { rspCmd = rsp.Cmd }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if rspCmd != ht.CmdTgtDone {
 		t.Errorf("write response = %v", rspCmd)
 	}
@@ -139,14 +159,14 @@ func TestCrossNodeVisibility(t *testing.T) {
 	if err := r.rmcs[1].Request(0, wr, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 
 	var got []byte
 	rd := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64}
 	if err := r.rmcs[2].Request(r.eng.Now(), rd, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !bytes.Equal(got[:len(payload)], payload) {
 		t.Errorf("node 2 read %q", got[:len(payload)])
 	}
@@ -161,7 +181,7 @@ func TestHopDistanceIncreasesLatency(t *testing.T) {
 		if err := r2.rmcs[1].Request(0, req, false, func(ts sim.Time, _ ht.Packet, _ error) { done = ts }); err != nil {
 			t.Fatal(err)
 		}
-		r2.eng.Run()
+		r2.set.Run()
 		return done
 	}
 	_ = r
@@ -187,7 +207,7 @@ func TestLoopbackMode(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if got[0] != 9 {
 		t.Error("loopback read wrong data")
 	}
@@ -226,7 +246,7 @@ func TestClientQueueRetries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.eng.Run()
+	r.set.Run()
 	if completions != 16 {
 		t.Fatalf("only %d of 16 completed", completions)
 	}
@@ -255,7 +275,7 @@ func TestRetryWasteSlowsService(t *testing.T) {
 				}
 			})
 		}
-		r.eng.Run()
+		r.set.Run()
 		return last
 	}
 	p := params.Default()
@@ -276,7 +296,7 @@ func TestExpressRouting(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(ts sim.Time, _ ht.Packet, _ error) { meshDone = ts }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 
 	r2 := newRig(t, 16)
 	if err := r2.fabric.AddExpressLink(1, 16); err != nil {
@@ -285,7 +305,7 @@ func TestExpressRouting(t *testing.T) {
 	if err := r2.rmcs[1].Request(0, req, true, func(ts sim.Time, _ ht.Packet, _ error) { expressDone = ts }); err != nil {
 		t.Fatal(err)
 	}
-	r2.eng.Run()
+	r2.set.Run()
 	if expressDone >= meshDone {
 		t.Errorf("express (%d) not faster than 6-hop mesh (%d)", expressDone, meshDone)
 	}
@@ -297,7 +317,7 @@ func TestUtilizationReporting(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	end := r.eng.Run()
+	end := r.set.Run()
 	if u := r.rmcs[1].ClientUtilization(end); u <= 0 || u > 1 {
 		t.Errorf("client utilization = %v", u)
 	}
@@ -329,7 +349,7 @@ func TestProtectionAborts(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 		return cmd
 	}
 
