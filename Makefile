@@ -54,7 +54,8 @@ perf-gate:
 # invariants held at every step, the -linklat and -mesh flag parsers,
 # every accepted -sweep value through system construction,
 # the canonical String round trips of the -faults, -bulk and -explore
-# parsers, and the cache hierarchy against its array-of-structs oracle.
+# parsers, the cache hierarchy against its array-of-structs oracle, and
+# the batched memory models against their scalar reference model.
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
@@ -67,3 +68,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
 	$(GO) test -fuzz=FuzzHierarchyOracle -fuzztime=10s -run='^$$' ./internal/cache
+	$(GO) test -fuzz=FuzzBatchOracle -fuzztime=10s -run='^$$' ./internal/memmodel

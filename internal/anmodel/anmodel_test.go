@@ -89,13 +89,13 @@ func TestEq1MatchesMechanisticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b memmodel.Batcher
+	var ops []memmodel.AccessOp
 	for pg := 0; pg < pages; pg++ {
 		for i := 0; i < perPage; i++ {
-			b.Read(uint64(pg)*params.PageSize + uint64(i*64))
+			ops = append(ops, memmodel.AccessOp{Addr: uint64(pg)*params.PageSize + uint64(i*64)})
 		}
 	}
-	measured := b.Flush(s)
+	measured := s.AccessBatch(ops)
 	in := FromParams(p, 1)
 	in.ATotal = pages * perPage
 	in.APage = perPage
@@ -112,12 +112,12 @@ func TestEq1MatchesMechanisticModel(t *testing.T) {
 func TestEq2MatchesMechanisticModel(t *testing.T) {
 	p := params.Default()
 	r := memmodel.Remote{P: p, Hops: 2}
-	var b memmodel.Batcher
+	var ops []memmodel.AccessOp
 	const n = 5000
 	for i := 0; i < n; i++ {
-		b.Read(uint64(i * 977))
+		ops = append(ops, memmodel.AccessOp{Addr: uint64(i * 977)})
 	}
-	measured := b.Flush(r)
+	measured := r.AccessBatch(ops)
 	in := FromParams(p, 2)
 	in.ATotal, in.APage = n, 1
 	predicted, err := in.RemoteMemoryTime()

@@ -138,72 +138,61 @@ func childPtrAddr(n *node, i int) uint64 {
 	return entryAddr(n, i) + 8
 }
 
-// SearchBatch looks a key up, charging every modeled memory access to
-// mem: one header read per visited node, one read per binary-search
-// probe, and one child-pointer read per descent. The walk records the
-// accesses into b and prices the whole op sequence in one AccessBatch
-// call. b is a scratch buffer the caller reuses across searches (it
-// must be empty between calls). It returns whether the key exists, the
-// accumulated memory time, and the number of accesses performed.
-func (t *Tree) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (found bool, cost params.Duration, accesses uint64) {
+// walk appends key's search path to ops — one header read per visited
+// node, one read per binary-search probe, one child-pointer read per
+// descent — and returns the extended buffer with the node and entry
+// index holding key, or a nil node when key is absent. The probe order
+// is the simulated behaviour; ops is a local slice so the loop keeps
+// its header in registers.
+func (t *Tree) walk(key uint64, ops []memmodel.AccessOp) ([]memmodel.AccessOp, *node, int) {
 	n := t.root
 	for n != nil {
-		b.Read(n.base)
-		lo, hi := 0, len(n.keys)
+		keys := n.keys
+		ops = append(ops, memmodel.AccessOp{Addr: n.base})
+		lo, hi := 0, len(keys)
 		for lo < hi {
-			mid := (lo + hi) / 2
-			b.Read(entryAddr(n, mid))
-			switch {
-			case n.keys[mid] == key:
-				accesses = uint64(b.Len())
-				return true, b.Flush(mem), accesses
-			case n.keys[mid] < key:
+			mid := int(uint(lo+hi) >> 1) // (lo+hi)/2 without the sign fix-up
+			ops = append(ops, memmodel.AccessOp{Addr: entryAddr(n, mid)})
+			k := keys[mid]
+			if k == key {
+				return ops, n, mid
+			}
+			if k < key {
 				lo = mid + 1
-			default:
+			} else {
 				hi = mid
 			}
 		}
 		if n.leaf() {
-			accesses = uint64(b.Len())
-			return false, b.Flush(mem), accesses
+			break
 		}
-		b.Read(childPtrAddr(n, lo))
+		ops = append(ops, memmodel.AccessOp{Addr: childPtrAddr(n, lo)})
 		n = n.children[lo]
 	}
-	accesses = uint64(b.Len())
-	return false, b.Flush(mem), accesses
+	return ops, nil, 0
+}
+
+// SearchBatch looks a key up, charging every modeled memory access to
+// mem: one header read per visited node, one read per binary-search
+// probe, and one child-pointer read per descent. The walk records the
+// accesses into the buffer b lends and prices the whole op sequence in
+// one AccessBatch call; the caller reuses b across searches. It returns
+// whether the key exists, the accumulated memory time, and the number
+// of accesses performed.
+func (t *Tree) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (found bool, cost params.Duration, accesses uint64) {
+	ops, n, _ := t.walk(key, b.Lend())
+	return n != nil, b.Price(ops, mem), uint64(len(ops))
 }
 
 // SearchKVBatch is SearchBatch returning the key's payload word as well
 // (charging one extra read for the payload slot on a hit).
 func (t *Tree) SearchKVBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	n := t.root
-	for n != nil {
-		b.Read(n.base)
-		lo, hi := 0, len(n.keys)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			b.Read(entryAddr(n, mid))
-			switch {
-			case n.keys[mid] == key:
-				b.Read(entryAddr(n, mid) + 16) // payload slot
-				accesses = uint64(b.Len())
-				return n.vals[mid], true, b.Flush(mem), accesses
-			case n.keys[mid] < key:
-				lo = mid + 1
-			default:
-				hi = mid
-			}
-		}
-		if n.leaf() {
-			accesses = uint64(b.Len())
-			return 0, false, b.Flush(mem), accesses
-		}
-		b.Read(childPtrAddr(n, lo))
-		n = n.children[lo]
+	ops, n, i := t.walk(key, b.Lend())
+	if n != nil {
+		ops = append(ops, memmodel.AccessOp{Addr: entryAddr(n, i) + 16}) // payload slot
+		val = n.vals[i]
 	}
-	accesses = uint64(b.Len())
-	return 0, false, b.Flush(mem), accesses
+	return val, n != nil, b.Price(ops, mem), uint64(len(ops))
 }
 
 // Lookup returns a key's payload word without charging an accessor.
@@ -234,57 +223,70 @@ const rangeScanFlushThreshold = 4096
 // pointer read per descended child. Range queries are the other
 // database operation the paper's short-term plan names; their
 // sequential page touch pattern is the friendliest case for both swap
-// and the RMC's prefetcher. The accesses are recorded into b and priced
-// in AccessBatch calls of up to rangeScanFlushThreshold ops. b must be
-// empty between calls.
+// and the RMC's prefetcher. The accesses are recorded into the buffer b
+// lends and priced in AccessBatch calls of about
+// rangeScanFlushThreshold ops. fn must not use b.
 func (t *Tree) RangeScanBatch(lo, hi uint64, mem memmodel.Accessor, b *memmodel.Batcher, fn func(uint64)) (cost params.Duration, accesses uint64) {
-	if lo > hi {
+	if lo > hi || t.root == nil {
 		return 0, 0
 	}
-	read := func(a uint64) {
-		b.Read(a)
-		accesses++
-		if b.Len() >= rangeScanFlushThreshold {
-			cost += b.Flush(mem)
+	s := rangeScan{lo: lo, hi: hi, mem: mem, b: b, fn: fn}
+	s.price(s.visit(t.root, b.Lend()))
+	return s.cost, s.accesses
+}
+
+// rangeScan is one RangeScanBatch call. The op buffer is not part of
+// it: visit passes the buffer down and back up the recursion by value.
+type rangeScan struct {
+	lo, hi   uint64
+	mem      memmodel.Accessor
+	b        *memmodel.Batcher
+	fn       func(uint64)
+	cost     params.Duration
+	accesses uint64
+}
+
+// price prices the buffered ops and returns the emptied buffer.
+func (s *rangeScan) price(ops []memmodel.AccessOp) []memmodel.AccessOp {
+	s.accesses += uint64(len(ops))
+	s.cost += s.b.Price(ops, s.mem)
+	return s.b.Lend()
+}
+
+// visit appends the scan of n's subtree to ops, pricing the buffer
+// whenever it reaches rangeScanFlushThreshold, and returns it.
+func (s *rangeScan) visit(n *node, ops []memmodel.AccessOp) []memmodel.AccessOp {
+	ops = append(ops, memmodel.AccessOp{Addr: n.base}) // header
+	start, end := 0, len(n.keys)
+	for start < end {
+		mid := (start + end) / 2
+		ops = append(ops, memmodel.AccessOp{Addr: entryAddr(n, mid)})
+		if n.keys[mid] < s.lo {
+			start = mid + 1
+		} else {
+			end = mid
 		}
 	}
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
+	for i := start; ; i++ {
+		if len(ops) >= rangeScanFlushThreshold {
+			ops = s.price(ops)
 		}
-		read(n.base) // header
-		start, hiIdx := 0, len(n.keys)
-		for start < hiIdx {
-			mid := (start + hiIdx) / 2
-			read(entryAddr(n, mid))
-			if n.keys[mid] < lo {
-				start = mid + 1
-			} else {
-				hiIdx = mid
-			}
+		if !n.leaf() {
+			ops = append(ops, memmodel.AccessOp{Addr: childPtrAddr(n, i)})
+			ops = s.visit(n.children[i], ops)
 		}
-		for i := start; ; i++ {
-			if !n.leaf() {
-				read(childPtrAddr(n, i))
-				rec(n.children[i])
-			}
-			if i >= len(n.keys) {
-				return
-			}
-			read(entryAddr(n, i))
-			k := n.keys[i]
-			if k > hi {
-				return
-			}
-			if k >= lo {
-				fn(k)
-			}
+		if i >= len(n.keys) {
+			return ops
+		}
+		ops = append(ops, memmodel.AccessOp{Addr: entryAddr(n, i)})
+		k := n.keys[i]
+		if k > s.hi {
+			return ops
+		}
+		if k >= s.lo {
+			s.fn(k)
 		}
 	}
-	rec(t.root)
-	cost += b.Flush(mem)
-	return cost, accesses
 }
 
 // Contains reports membership without charging an accessor (function

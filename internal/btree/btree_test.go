@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,20 +11,39 @@ import (
 	"repro/internal/params"
 )
 
-// countingMem charges 1 per access and records addresses.
+// countingMem charges 1 per access, or prices through inner when it is
+// set, and records every op it sees in order.
 type countingMem struct {
+	inner memmodel.Accessor
 	n     uint64
-	addrs []uint64
+	ops   []memmodel.AccessOp
 }
 
 func (c *countingMem) AccessBatch(ops []memmodel.AccessOp) params.Duration {
-	for _, op := range ops {
-		c.n++
-		c.addrs = append(c.addrs, op.Addr)
+	c.n += uint64(len(ops))
+	c.ops = append(c.ops, ops...)
+	if c.inner != nil {
+		return c.inner.AccessBatch(ops)
 	}
 	return params.Duration(len(ops))
 }
 func (c *countingMem) Name() string { return "counting" }
+
+// sameOps fails the test unless the reference walk and the batched
+// walk made the identical (Addr, Write) sequence, then empties both
+// records.
+func sameOps(t *testing.T, what string, ref, got *countingMem) {
+	t.Helper()
+	for i := 0; i < len(ref.ops) || i < len(got.ops); i++ {
+		if i >= len(ref.ops) || i >= len(got.ops) {
+			t.Fatalf("%s: reference walk made %d ops, batched walk %d", what, len(ref.ops), len(got.ops))
+		}
+		if ref.ops[i] != got.ops[i] {
+			t.Fatalf("%s: op %d differs: reference %+v, batched %+v", what, i, ref.ops[i], got.ops[i])
+		}
+	}
+	ref.ops, got.ops = ref.ops[:0], got.ops[:0]
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(2); err == nil {
@@ -462,27 +483,42 @@ func newSwapMem(t *testing.T) memmodel.Accessor {
 	return acc
 }
 
-// TestSearchBatchMatchesScalar drives the scalar reference walk and the
-// batched search over identical trees and stateful accessors: found flags, costs,
-// access counts, and the address sequence seen by the memory must all
-// match.
+// newRecordedSwapMem is newSwapMem behind a recorder of the op
+// sequence it prices.
+func newRecordedSwapMem(t *testing.T) *countingMem {
+	t.Helper()
+	return &countingMem{inner: newSwapMem(t)}
+}
+
+// loadTrees bulk-loads keys into two identical trees of the given
+// fanout: one for the reference walk, one for the batched walk.
+func loadTrees(t *testing.T, fanout int, keys []uint64) (ref, batch *Tree) {
+	t.Helper()
+	ref, _ = New(fanout)
+	batch, _ = New(fanout)
+	if err := ref.BulkLoad(keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.BulkLoad(keys); err != nil {
+		t.Fatal(err)
+	}
+	return ref, batch
+}
+
+// TestSearchBatchMatchesScalar drives the scalar reference walk and
+// the batched search over identical trees and stateful accessors:
+// found flags, costs, access counts, and the (Addr, Write) sequence
+// seen by the memory must all match. Fanout 448 nodes span three
+// pages, so probes cross pages inside one node.
 func TestSearchBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, fanout := range []int{3, 8, 168} {
-		scalarTree, _ := New(fanout)
-		batchTree, _ := New(fanout)
+	for _, fanout := range []int{3, 8, 168, 448} {
 		keys := make([]uint64, 5000)
 		for i := range keys {
 			keys[i] = uint64(i) * 3
 		}
-		if err := scalarTree.BulkLoad(keys); err != nil {
-			t.Fatal(err)
-		}
-		if err := batchTree.BulkLoad(keys); err != nil {
-			t.Fatal(err)
-		}
-		scalarMem := newSwapMem(t)
-		batchMem := newSwapMem(t)
+		scalarTree, batchTree := loadTrees(t, fanout, keys)
+		scalarMem, batchMem := newRecordedSwapMem(t), newRecordedSwapMem(t)
 		var b memmodel.Batcher
 		for i := 0; i < 3000; i++ {
 			key := uint64(rng.Intn(16000))
@@ -492,77 +528,67 @@ func TestSearchBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("fanout %d key %d: scalar (%v,%d,%d) != batch (%v,%d,%d)",
 					fanout, key, sf, sc, sa, bf, bc, ba)
 			}
-			if b.Len() != 0 {
-				t.Fatal("Batcher not empty after SearchBatch")
-			}
+			sameOps(t, fmt.Sprintf("fanout %d key %d", fanout, key), scalarMem, batchMem)
 		}
 	}
 }
 
 // TestSearchKVBatchMatchesScalar pins SearchKVBatch against the scalar
-// reference walk, including the extra payload read on hits.
+// reference walk, including the extra payload read on hits, down to the
+// op sequence.
 func TestSearchKVBatchMatchesScalar(t *testing.T) {
-	scalarTree, _ := New(16)
-	batchTree, _ := New(16)
-	for i := uint64(0); i < 4000; i++ {
-		scalarTree.InsertKV(i*2, i+100)
-		batchTree.InsertKV(i*2, i+100)
-	}
-	scalarMem := newSwapMem(t)
-	batchMem := newSwapMem(t)
-	var b memmodel.Batcher
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		key := uint64(rng.Intn(9000))
-		sv, sf, sc, sa := refSearchKV(scalarTree, key, scalarMem)
-		bv, bf, bc, ba := batchTree.SearchKVBatch(key, batchMem, &b)
-		if sv != bv || sf != bf || sc != bc || sa != ba {
-			t.Fatalf("key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
-				key, sv, sf, sc, sa, bv, bf, bc, ba)
+	for _, fanout := range []int{16, 448} {
+		scalarTree, _ := New(fanout)
+		batchTree, _ := New(fanout)
+		for i := uint64(0); i < 4000; i++ {
+			scalarTree.InsertKV(i*2, i+100)
+			batchTree.InsertKV(i*2, i+100)
+		}
+		scalarMem, batchMem := newRecordedSwapMem(t), newRecordedSwapMem(t)
+		var b memmodel.Batcher
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			key := uint64(rng.Intn(9000))
+			sv, sf, sc, sa := refSearchKV(scalarTree, key, scalarMem)
+			bv, bf, bc, ba := batchTree.SearchKVBatch(key, batchMem, &b)
+			if sv != bv || sf != bf || sc != bc || sa != ba {
+				t.Fatalf("fanout %d key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
+					fanout, key, sv, sf, sc, sa, bv, bf, bc, ba)
+			}
+			sameOps(t, fmt.Sprintf("fanout %d key %d", fanout, key), scalarMem, batchMem)
 		}
 	}
 }
 
 // TestRangeScanBatchMatchesScalar pins the batched range scan — visit
-// order, visited keys, cost, and access count — against the scalar
-// reference walk, with ranges long enough to cross the mid-scan flush threshold.
+// order, visited keys, cost, access count, and op sequence — against
+// the scalar reference walk, with ranges long enough to cross the
+// mid-scan flush threshold.
 func TestRangeScanBatchMatchesScalar(t *testing.T) {
-	scalarTree, _ := New(8)
-	batchTree, _ := New(8)
 	keys := make([]uint64, 20000)
 	for i := range keys {
 		keys[i] = uint64(i) * 5
 	}
-	if err := scalarTree.BulkLoad(keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := batchTree.BulkLoad(keys); err != nil {
-		t.Fatal(err)
-	}
-	scalarMem := newSwapMem(t)
-	batchMem := newSwapMem(t)
-	var b memmodel.Batcher
-	for _, r := range [][2]uint64{{0, 99999}, {12345, 54321}, {7, 7}, {90, 10}} {
-		var scalarKeys, batchKeys []uint64
-		sc, sa := refRangeScan(scalarTree, r[0], r[1], scalarMem, func(k uint64) {
-			scalarKeys = append(scalarKeys, k)
-		})
-		bc, ba := batchTree.RangeScanBatch(r[0], r[1], batchMem, &b, func(k uint64) {
-			batchKeys = append(batchKeys, k)
-		})
-		if sc != bc || sa != ba {
-			t.Fatalf("range [%d,%d]: scalar (%d,%d) != batch (%d,%d)", r[0], r[1], sc, sa, bc, ba)
-		}
-		if len(scalarKeys) != len(batchKeys) {
-			t.Fatalf("range [%d,%d]: %d vs %d keys", r[0], r[1], len(scalarKeys), len(batchKeys))
-		}
-		for i := range scalarKeys {
-			if scalarKeys[i] != batchKeys[i] {
-				t.Fatalf("range [%d,%d]: key %d differs: %d vs %d", r[0], r[1], i, scalarKeys[i], batchKeys[i])
+	for _, fanout := range []int{8, 448} {
+		scalarTree, batchTree := loadTrees(t, fanout, keys)
+		scalarMem, batchMem := newRecordedSwapMem(t), newRecordedSwapMem(t)
+		var b memmodel.Batcher
+		for _, r := range [][2]uint64{{0, 99999}, {12345, 54321}, {7, 7}, {90, 10}} {
+			var scalarKeys, batchKeys []uint64
+			sc, sa := refRangeScan(scalarTree, r[0], r[1], scalarMem, func(k uint64) {
+				scalarKeys = append(scalarKeys, k)
+			})
+			bc, ba := batchTree.RangeScanBatch(r[0], r[1], batchMem, &b, func(k uint64) {
+				batchKeys = append(batchKeys, k)
+			})
+			what := fmt.Sprintf("fanout %d range [%d,%d]", fanout, r[0], r[1])
+			if sc != bc || sa != ba {
+				t.Fatalf("%s: scalar (%d,%d) != batch (%d,%d)", what, sc, sa, bc, ba)
 			}
-		}
-		if b.Len() != 0 {
-			t.Fatal("Batcher not empty after RangeScanBatch")
+			if !slices.Equal(scalarKeys, batchKeys) {
+				t.Fatalf("%s: visited keys differ: %d vs %d keys", what, len(scalarKeys), len(batchKeys))
+			}
+			sameOps(t, what, scalarMem, batchMem)
 		}
 	}
 }

@@ -148,21 +148,21 @@ func (t *Table) Get(key uint64, acc memmodel.Accessor) (value []byte, found bool
 // The accesses — length prefix, then each payload word in order — are
 // batched and priced in one AccessBatch call.
 func (t *Table) readRow(ptr vm.Virt, acc memmodel.Accessor) ([]byte, params.Duration, error) {
-	t.batch.Read(uint64(ptr))
+	ops := append(t.batch.Lend(), memmodel.AccessOp{Addr: uint64(ptr)})
 	n, err := t.region.ReadUint64(ptr)
 	if err != nil {
-		return nil, t.batch.Flush(acc), err
+		return nil, t.batch.Price(ops, acc), err
 	}
 	buf := make([]byte, n)
 	if n > 0 {
 		if err := t.region.Read(ptr+8, buf); err != nil {
-			return nil, t.batch.Flush(acc), err
+			return nil, t.batch.Price(ops, acc), err
 		}
 		for off := uint64(0); off < n; off += 8 {
-			t.batch.Read(uint64(ptr) + 8 + off)
+			ops = append(ops, memmodel.AccessOp{Addr: uint64(ptr) + 8 + off})
 		}
 	}
-	return buf, t.batch.Flush(acc), nil
+	return buf, t.batch.Price(ops, acc), nil
 }
 
 // ScanResult is one row yielded by Scan.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -413,10 +414,24 @@ func TestFootnote3HashVsBtree(t *testing.T) {
 	}
 }
 
+// recordingMem prices through inner and records every op it sees in
+// order.
+type recordingMem struct {
+	inner memmodel.Accessor
+	ops   []memmodel.AccessOp
+}
+
+func (r *recordingMem) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	r.ops = append(r.ops, ops...)
+	return r.inner.AccessBatch(ops)
+}
+func (r *recordingMem) Name() string { return r.inner.Name() }
+
 // TestHashSearchBatchMatchesScalar drives the scalar reference walk and
 // the batched search over identical indexes and stateful swap
-// accessors: values, found flags, costs, access counts, probe
-// statistics, and the accessors' fault time must all match.
+// accessors: values, found flags, costs, access counts, the (Addr,
+// Write) probe sequence, probe statistics, and the accessors' fault
+// time must all match.
 func TestHashSearchBatchMatchesScalar(t *testing.T) {
 	p := params.Default()
 	newSwap := func() *memmodel.Swap {
@@ -436,19 +451,21 @@ func TestHashSearchBatchMatchesScalar(t *testing.T) {
 		batchIdx.Insert(k*3, k+1)
 	}
 	scalarMem, batchMem := newSwap(), newSwap()
+	scalarRec, batchRec := &recordingMem{inner: scalarMem}, &recordingMem{inner: batchMem}
 	var b memmodel.Batcher
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 3000; i++ {
 		key := uint64(rng.Intn(70000))
-		sv, sf, sc, sa := refHashSearch(scalarIdx, key, scalarMem)
-		bv, bf, bc, ba := batchIdx.SearchBatch(key, batchMem, &b)
+		sv, sf, sc, sa := refHashSearch(scalarIdx, key, scalarRec)
+		bv, bf, bc, ba := batchIdx.SearchBatch(key, batchRec, &b)
 		if sv != bv || sf != bf || sc != bc || sa != ba {
 			t.Fatalf("key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
 				key, sv, sf, sc, sa, bv, bf, bc, ba)
 		}
-		if b.Len() != 0 {
-			t.Fatal("Batcher not empty after SearchBatch")
+		if !slices.Equal(scalarRec.ops, batchRec.ops) {
+			t.Fatalf("key %d: probe sequences differ:\nscalar %v\nbatch  %v", key, scalarRec.ops, batchRec.ops)
 		}
+		scalarRec.ops, batchRec.ops = scalarRec.ops[:0], batchRec.ops[:0]
 	}
 	if scalarIdx.Lookups != batchIdx.Lookups || scalarIdx.Probes != batchIdx.Probes {
 		t.Errorf("probe statistics diverged: scalar %d/%d, batch %d/%d",

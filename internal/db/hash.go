@@ -101,24 +101,22 @@ func (h *HashIndex) grow() {
 // SearchBatch looks a key up, charging one read per probed bucket to
 // mem. Linear probing keeps consecutive probes on the same page, so even
 // the swap configuration usually pays for one page per lookup. The probe
-// sequence is recorded into b and priced in one AccessBatch call; b must
-// be empty between calls.
+// sequence is recorded into the buffer b lends and priced in one
+// AccessBatch call.
 func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
 	h.Lookups++
-	i := splitmix64(key) & h.mask
-	for {
-		b.Read(h.bucketAddr(i))
-		h.Probes++
+	ops := b.Lend()
+	for i := splitmix64(key) & h.mask; ; i = (i + 1) & h.mask {
+		ops = append(ops, memmodel.AccessOp{Addr: h.bucketAddr(i)})
 		bk := h.buckets[i]
-		if !bk.live {
-			accesses = uint64(b.Len())
-			return 0, false, b.Flush(mem), accesses
+		if bk.live && bk.key != key {
+			continue
 		}
-		if bk.key == key {
-			accesses = uint64(b.Len())
-			return bk.val, true, b.Flush(mem), accesses
+		if bk.live {
+			val, found = bk.val, true
 		}
-		i = (i + 1) & h.mask
+		h.Probes += uint64(len(ops))
+		return val, found, b.Price(ops, mem), uint64(len(ops))
 	}
 }
 

@@ -21,47 +21,55 @@ type AccessOp struct {
 	Write bool
 }
 
-// Batcher accumulates the accesses of one logical unit of work — a
-// b-tree node visit, a range-scan segment, a kernel pass — and prices
-// them in one AccessBatch call. The zero value is ready to use; the op
-// buffer is retained across Flush calls, so a reused Batcher's steady
-// state allocates nothing. A Batcher must not be shared between goroutines;
+// noPage is the repeat-page rule's "page of the previous op" before a
+// batch's first op; no page or line number, an address divided by at
+// least 64, reaches it.
+//
+// Swap and LineCached apply the repeat-page rule: a read of the page
+// (line) the op just before it in the batch fell on is a hit on the LRU
+// head, so the loop charges the hit latency without calling Touch, and
+// settles the skipped hits into PageCache.Hits once per batch. The rule
+// is exact: after any Touch(p), hit or fault, p is the MRU head, and a
+// read re-touch of the head changes nothing but the hit count, so
+// costs, eviction order, dirty bits and every counter stay what one
+// Touch per op gives. Writes always go through Touch (they set the
+// dirty bit), and so does the first op of every batch.
+const noPage = ^uint64(0)
+
+// Batcher is the retained op buffer of one producer — a b-tree search,
+// a range-scan segment, a trace replay, a database query. The producer
+// borrows the buffer with Lend, appends its ops to the returned slice in
+// a local variable (so the hot walk keeps the slice header in registers
+// instead of loading and storing it through a pointer per op), and
+// hands it back with Price, which prices the ops in one AccessBatch call
+// and keeps the buffer, grown capacity included, for the next Lend. The
+// zero value is ready to use, and a reused Batcher's steady state
+// allocates nothing. A Batcher must not be shared between goroutines;
 // sharded sweeps give every shard its own.
 type Batcher struct {
 	ops []AccessOp
 }
 
-// Read records a load at address a.
-func (b *Batcher) Read(a uint64) { b.ops = append(b.ops, AccessOp{Addr: a}) }
+// Lend returns the retained buffer, emptied, for the caller to append
+// ops to. The caller owns it until it passes it back to Price; one
+// Batcher lends one buffer at a time.
+func (b *Batcher) Lend() []AccessOp { return b.ops[:0] }
 
-// Write records a store at address a.
-func (b *Batcher) Write(a uint64) { b.ops = append(b.ops, AccessOp{Addr: a, Write: true}) }
-
-// Add records an access.
-func (b *Batcher) Add(a uint64, write bool) {
-	b.ops = append(b.ops, AccessOp{Addr: a, Write: write})
-}
-
-// Len returns the number of buffered ops.
-func (b *Batcher) Len() int { return len(b.ops) }
-
-// Grow ensures capacity for at least n buffered ops, pre-sizing the
-// buffer so 0-alloc steady state starts at the first batch.
+// Grow ensures the retained buffer can hold at least n ops, pre-sizing
+// it so 0-alloc steady state starts at the first batch.
 func (b *Batcher) Grow(n int) {
 	if cap(b.ops) < n {
-		ops := make([]AccessOp, len(b.ops), n)
-		copy(ops, b.ops)
-		b.ops = ops
+		b.ops = make([]AccessOp, 0, n)
 	}
 }
 
-// Flush prices the buffered ops through acc in record order, clears the
-// buffer (retaining its capacity), and returns the total cost.
-func (b *Batcher) Flush(acc Accessor) params.Duration {
-	if len(b.ops) == 0 {
+// Price prices ops, a buffer from Lend with the caller's ops appended,
+// through acc in order, takes the buffer back for the next Lend, and
+// returns the total cost.
+func (b *Batcher) Price(ops []AccessOp, acc Accessor) params.Duration {
+	b.ops = ops[:0]
+	if len(ops) == 0 {
 		return 0
 	}
-	d := acc.AccessBatch(b.ops)
-	b.ops = b.ops[:0]
-	return d
+	return acc.AccessBatch(ops)
 }

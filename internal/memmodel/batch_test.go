@@ -212,83 +212,218 @@ func cachedOf(acc Accessor) *LineCached {
 	return c
 }
 
+// runStream draws a b-tree-shaped access stream for the repeat-page
+// rule of Swap and LineCached: runs of reads on one page and on one
+// line, some with a write in the middle, long enough to straddle the
+// oracle's chunk boundaries, and sweeps of one more distinct page than
+// the swap cache (32) or the line cache (64) holds, each followed by a
+// re-read of the sweep's first page, which the sweep's last op evicted.
+func runStream(seed int64, n int) []AccessOp {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]AccessOp, 0, n+128)
+	for len(ops) < n {
+		page := uint64(rng.Intn(4 << 20 / params.PageSize))
+		if rng.Intn(3) == 0 {
+			page = uint64(rng.Intn(16)) // hot set
+		}
+		switch rng.Intn(3) {
+		case 0, 1: // a run on one page, or on one line of it
+			base, span := page*params.PageSize, uint64(params.PageSize)
+			if rng.Intn(2) == 0 {
+				base += uint64(rng.Intn(params.PageSize/params.CacheLineSize)) * params.CacheLineSize
+				span = params.CacheLineSize
+			}
+			run := 2 + rng.Intn(63)
+			write := -1
+			if rng.Intn(2) == 0 {
+				write = rng.Intn(run)
+			}
+			for i := 0; i < run; i++ {
+				ops = append(ops, AccessOp{Addr: base + uint64(rng.Int63n(int64(span))), Write: i == write})
+			}
+		default: // evict a page, then re-read it
+			sweep := 33
+			if rng.Intn(2) == 0 {
+				sweep = 65
+			}
+			for i := 0; i < sweep; i++ {
+				ops = append(ops, AccessOp{Addr: (page + uint64(i)) * params.PageSize})
+			}
+			ops = append(ops, AccessOp{Addr: page*params.PageSize + 8}, AccessOp{Addr: page*params.PageSize + 16})
+		}
+	}
+	return ops[:n]
+}
+
+// checkOracle prices ops through two fresh stacks of the named kind —
+// one access at a time by the scalar reference model, and through
+// AccessBatch in chunks of the given lengths — and fails t unless every
+// chunk subtotal, the total and the accessor state agree, and, for
+// line-cached stacks, a final Flush agrees too.
+func checkOracle(t *testing.T, p params.Params, kind string, ops []AccessOp, chunks []int) {
+	t.Helper()
+	scalar := makeStack(t, p, kind)
+	batched := makeStack(t, p, kind)
+	var scalarTotal, batchTotal params.Duration
+	lo := 0
+	for _, size := range chunks {
+		chunk := ops[lo : lo+size]
+		var scalarChunk params.Duration
+		for _, op := range chunk {
+			scalarChunk += refAccess(scalar, op.Addr, op.Write)
+		}
+		batchChunk := batched.AccessBatch(chunk)
+		if scalarChunk != batchChunk {
+			t.Fatalf("chunk [%d:%d): scalar %d != batch %d", lo, lo+size, scalarChunk, batchChunk)
+		}
+		scalarTotal += scalarChunk
+		batchTotal += batchChunk
+		lo += size
+	}
+	if scalarTotal != batchTotal {
+		t.Fatalf("totals diverged: %d vs %d", scalarTotal, batchTotal)
+	}
+	if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
+		t.Fatalf("state diverged:\nscalar: %s\nbatch:  %s", ss, bs)
+	}
+	if c := cachedOf(batched); c != nil {
+		sd, sc := refFlush(cachedOf(scalar))
+		bd, bc := c.Flush()
+		if sd != bd || sc != bc {
+			t.Fatalf("flush diverged: scalar %d lines %d, batch %d lines %d", sd, sc, bd, bc)
+		}
+		if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
+			t.Fatalf("state diverged after flush:\nscalar: %s\nbatch:  %s", ss, bs)
+		}
+	}
+}
+
+// randomChunks splits n ops into chunks of 1 to 257 ops.
+func randomChunks(seed int64, n int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var chunks []int
+	for n > 0 {
+		size := min(1+rng.Intn(257), n)
+		chunks = append(chunks, size)
+		n -= size
+	}
+	return chunks
+}
+
 // TestScalarBatchOracle is the batched models' correctness contract:
-// for every accessor composition, a random access stream priced one op
+// for every accessor composition, a random access stream and a
+// b-tree-shaped stream of same-page and same-line runs, priced one op
 // at a time by the scalar reference model and through AccessBatch in
-// arbitrary chunks produces the identical total cost, identical
+// arbitrary chunks, produce the identical total cost, identical
 // per-chunk subtotals, and identical accessor/meter state — and, for
 // line-cached stacks, an identical Flush.
 func TestScalarBatchOracle(t *testing.T) {
 	p := params.Default()
+	streams := []struct {
+		name string
+		gen  func(seed int64, n int) []AccessOp
+	}{{"random", opStream}, {"runs", runStream}}
 	for _, kind := range oracleStacks {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				scalar := makeStack(t, p, kind)
-				batched := makeStack(t, p, kind)
-				ops := opStream(seed, 4096)
-				rng := rand.New(rand.NewSource(seed * 31))
-				var scalarTotal, batchTotal params.Duration
-				for lo := 0; lo < len(ops); {
-					hi := lo + 1 + rng.Intn(257)
-					if hi > len(ops) {
-						hi = len(ops)
-					}
-					chunk := ops[lo:hi]
-					var scalarChunk params.Duration
-					for _, op := range chunk {
-						scalarChunk += refAccess(scalar, op.Addr, op.Write)
-					}
-					batchChunk := batched.AccessBatch(chunk)
-					if scalarChunk != batchChunk {
-						t.Fatalf("seed %d chunk [%d:%d): scalar %d != batch %d", seed, lo, hi, scalarChunk, batchChunk)
-					}
-					scalarTotal += scalarChunk
-					batchTotal += batchChunk
-					lo = hi
-				}
-				if scalarTotal != batchTotal {
-					t.Fatalf("seed %d: totals diverged: %d vs %d", seed, scalarTotal, batchTotal)
-				}
-				if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
-					t.Fatalf("seed %d: state diverged:\nscalar: %s\nbatch:  %s", seed, ss, bs)
-				}
-				if c := cachedOf(batched); c != nil {
-					sd, sc := refFlush(cachedOf(scalar))
-					bd, bc := c.Flush()
-					if sd != bd || sc != bc {
-						t.Fatalf("seed %d: flush diverged: scalar %d lines %d, batch %d lines %d", seed, sd, sc, bd, bc)
-					}
-					if ss, bs := stateSig(scalar), stateSig(batched); ss != bs {
-						t.Fatalf("seed %d: state diverged after flush:\nscalar: %s\nbatch:  %s", seed, ss, bs)
-					}
+			for _, st := range streams {
+				for seed := int64(1); seed <= 3; seed++ {
+					t.Run(fmt.Sprintf("%s-seed%d", st.name, seed), func(t *testing.T) {
+						checkOracle(t, p, kind, st.gen(seed, 4096), randomChunks(seed*31, 4096))
+					})
 				}
 			}
 		})
 	}
 }
 
-// TestBatcherFlush covers the accumulate-and-flush helper.
-func TestBatcherFlush(t *testing.T) {
+// decodeOracleInput turns fuzz bytes into an op stream and its
+// chunking. Each byte pair (c, a) is one step; c%4 picks the step:
+//   - 0: an access on the current line, at byte a%64 of it;
+//   - 1: an access on the current page, at byte 16a of it;
+//   - 2: a move to page ((c>>3)<<8 | a) mod 1024 (the 4 MiB span the
+//     stacks map, gap included) and an access at its first byte;
+//   - 3: the end of the current chunk.
+//
+// Bit 2 of c marks an access as a write.
+func decodeOracleInput(data []byte) (ops []AccessOp, chunks []int) {
+	var cur uint64
+	start := 0
+	for i := 0; i+1 < len(data); i += 2 {
+		c, a := data[i], data[i+1]
+		switch c % 4 {
+		case 0:
+			cur = cur&^(params.CacheLineSize-1) + uint64(a)%params.CacheLineSize
+		case 1:
+			cur = cur&^(params.PageSize-1) + uint64(a)*16
+		case 2:
+			cur = (uint64(c>>3)<<8 | uint64(a)) % 1024 * params.PageSize
+		case 3:
+			if len(ops) > start {
+				chunks = append(chunks, len(ops)-start)
+				start = len(ops)
+			}
+			continue
+		}
+		ops = append(ops, AccessOp{Addr: cur, Write: c&4 != 0})
+	}
+	if len(ops) > start {
+		chunks = append(chunks, len(ops)-start)
+	}
+	return ops, chunks
+}
+
+// encodeSweep is a seed input for FuzzBatchOracle: a read sweep over
+// pages distinct pages from page 0, a chunk end, then a read run on
+// page 0 that the sweep evicted.
+func encodeSweep(pages int) []byte {
+	var data []byte
+	for pg := 0; pg < pages; pg++ {
+		data = append(data, byte(2|(pg>>8)<<3), byte(pg))
+	}
+	data = append(data, 3, 0)
+	return append(data, 2, 0, 1, 1, 0, 9, 1, 200)
+}
+
+// FuzzBatchOracle runs decoded op streams with repeat-page runs and
+// arbitrary chunkings through every oracle composition, checking the
+// batched models against the scalar reference model.
+func FuzzBatchOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 5, 0, 3, 0, 7, 4, 9, 1, 100, 3, 0, 0, 8, 5, 1, 0, 60})
+	f.Add([]byte{2, 1, 1, 10, 5, 20, 1, 30, 3, 0, 1, 40, 0, 1, 4, 2, 0, 3})
+	f.Add(encodeSweep(33))
+	f.Add(encodeSweep(65))
+	p := params.Default()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 8192 {
+			return
+		}
+		ops, chunks := decodeOracleInput(data)
+		for _, kind := range oracleStacks {
+			checkOracle(t, p, kind, ops, chunks)
+		}
+	})
+}
+
+// TestBatcherLendPrice covers the lent-buffer round trip: Price takes
+// back the buffer Lend handed out, grown capacity included, so the next
+// Lend reuses it.
+func TestBatcherLendPrice(t *testing.T) {
 	p := params.Default()
 	var b Batcher
-	if got := b.Flush(Local{P: p}); got != 0 {
-		t.Errorf("empty flush = %d", got)
+	if got := b.Price(b.Lend(), Local{P: p}); got != 0 {
+		t.Errorf("empty price = %d", got)
 	}
-	b.Read(0)
-	b.Write(8)
-	b.Add(16, false)
-	if b.Len() != 3 {
-		t.Errorf("Len = %d", b.Len())
+	ops := append(b.Lend(), AccessOp{Addr: 0}, AccessOp{Addr: 8, Write: true}, AccessOp{Addr: 16})
+	if got, want := b.Price(ops, Local{P: p}), 3*p.DRAMLatency; got != want {
+		t.Errorf("price = %d, want %d", got, want)
 	}
-	if got, want := b.Flush(Local{P: p}), 3*p.DRAMLatency; got != want {
-		t.Errorf("flush = %d, want %d", got, want)
-	}
-	if b.Len() != 0 {
-		t.Error("flush did not clear the buffer")
+	if lent := b.Lend(); len(lent) != 0 || cap(lent) != cap(ops) || &lent[:1][0] != &ops[0] {
+		t.Error("Lend after Price did not return the emptied buffer")
 	}
 	b.Grow(1024)
-	if cap(b.ops) < 1024 {
+	if cap(b.Lend()) < 1024 {
 		t.Error("Grow did not grow")
 	}
 }

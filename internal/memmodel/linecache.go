@@ -45,12 +45,20 @@ func NewLineCached(inner Accessor, p params.Params, lines int) (*LineCached, err
 // writes back to it. Every miss appends its fill op, then its victim's
 // writeback op, to one buffer that inner prices in a single call. The
 // line cache's state never depends on inner's, so inner sees exactly
-// the op sequence per-access pricing would give it.
+// the op sequence per-access pricing would give it. A read of the line
+// the op before it touched skips Touch (the repeat-page rule, see noPage).
 func (c *LineCached) AccessBatch(ops []AccessOp) params.Duration {
 	lines, misses := c.lines, c.misses[:0]
-	var fills uint64
+	var fills, repeats uint64
+	last := noPage
 	for _, op := range ops {
-		res := lines.Touch(op.Addr/params.CacheLineSize, op.Write)
+		line := op.Addr / params.CacheLineSize
+		if line == last && !op.Write {
+			repeats++ // a read re-touch of the LRU head
+			continue
+		}
+		last = line
+		res := lines.Touch(line, op.Write)
 		if res.Hit {
 			continue
 		}
@@ -60,6 +68,7 @@ func (c *LineCached) AccessBatch(ops []AccessOp) params.Duration {
 			misses = append(misses, AccessOp{Addr: res.Evicted * params.CacheLineSize, Write: true})
 		}
 	}
+	lines.Hits += repeats
 	c.Fills += fills
 	c.misses = misses
 	return params.Duration(len(ops))*c.p.L1Latency + c.inner.AccessBatch(misses)

@@ -90,27 +90,35 @@ func NewSwap(p params.Params, dev swap.Device, residentPages int) (*Swap, error)
 }
 
 // AccessBatch implements Accessor: one tight loop over the page cache
-// with the device costs precomputed, no interface calls.
+// with the device costs precomputed, no interface calls. Every op costs
+// DRAM latency, and a fault adds its device cost on top. A read of the
+// page the op before it touched skips Touch (the repeat-page rule, see
+// noPage).
 func (s *Swap) AccessBatch(ops []AccessOp) params.Duration {
-	dram := s.p.DRAMLatency
 	fault, wb := s.faultCost, s.wbCost
 	cache := s.cache
-	var total, faultTime params.Duration
+	var faultTime params.Duration
+	var repeats uint64
+	last := noPage
 	for _, op := range ops {
-		res := cache.Touch(op.Addr/params.PageSize, op.Write)
-		if res.Hit {
-			total += dram
+		page := op.Addr / params.PageSize
+		if page == last && !op.Write {
+			repeats++ // a read re-touch of the LRU head
 			continue
 		}
-		cost := fault
-		if res.EvictedDirty {
-			cost += wb
+		last = page
+		res := cache.Touch(page, op.Write)
+		if res.Hit {
+			continue
 		}
-		faultTime += cost
-		total += cost + dram
+		faultTime += fault
+		if res.EvictedDirty {
+			faultTime += wb
+		}
 	}
+	cache.Hits += repeats
 	s.FaultTime += faultTime
-	return total
+	return params.Duration(len(ops))*s.p.DRAMLatency + faultTime
 }
 
 // Name implements Accessor.

@@ -176,19 +176,21 @@ func (t *Reader) Replay(acc memmodel.Accessor) (params.Duration, uint64, error) 
 	var n uint64
 	var b memmodel.Batcher
 	b.Grow(replayChunk)
+	ops := b.Lend()
 	for {
 		r, err := t.Next()
 		if err != nil {
-			total += b.Flush(acc)
+			total += b.Price(ops, acc)
 			if errors.Is(err, io.EOF) {
 				err = nil
 			}
 			return total, n, err
 		}
-		b.Add(r.Addr, r.Write)
+		ops = append(ops, memmodel.AccessOp{Addr: r.Addr, Write: r.Write})
 		n++
-		if b.Len() == replayChunk {
-			total += b.Flush(acc)
+		if len(ops) == replayChunk {
+			total += b.Price(ops, acc)
+			ops = b.Lend()
 		}
 	}
 }
